@@ -16,13 +16,17 @@
 #   AGENT1_ENV   env assignments applied to agent 1 only (optional)
 #   AGENT2_ENV   env assignments applied to agent 2 only (optional)
 #
-# Chaos campaigns: set ANACIN_NET_CHAOS inside any of the *_ENV knobs to
-# fault that process's sends at the frame boundary (net/chaos.hpp), e.g.
-#   SERVE_ENV="ANACIN_NET_CHAOS=seed=7,corrupt=0.03,reorder=0.05" \
-#   AGENT1_ENV="ANACIN_NET_CHAOS=seed=1007,drop=0.02,corrupt=0.03" \
+# Fault campaigns: set ANACIN_FAULT_PLAN inside any of the *_ENV knobs.
+# Its net.* keys fault that process's sends at the frame boundary
+# (net/chaos.hpp) and its unit.* keys fault the units an agent executes
+# (docs/RESILIENCE.md has the grammar), e.g.
+#   SERVE_ENV="ANACIN_FAULT_PLAN=seed=7,net.corrupt=0.03,net.reorder=0.05" \
+#   AGENT1_ENV="ANACIN_FAULT_PLAN=seed=1007,net.drop=0.02,net.corrupt=0.03" \
 #     distributed_fleet.sh chaos s a1 a2 --unit-lease-ms 5000
+#   AGENT1_ENV="ANACIN_FAULT_PLAN=unit.*=crash:KILL" \
+#     distributed_fleet.sh kill s a1 a2 --unit-lease-ms 2000
 # The report must still be byte-identical to the local baseline — that is
-# the invariant the chaos-smoke CI job enforces.
+# the invariant tests/net/test_distributed.cpp enforces.
 #
 # The scheduler announces its ephemeral port through an ABSOLUTE
 # --port-file (relative paths once stranded agents in an empty cwd race);
@@ -31,7 +35,7 @@
 # TAG-metrics.json, TAG-aN.{out,rc}, TAG-aN-metrics.json; exits with the
 # scheduler's exit code (signal deaths surface as 128+signo).
 # -f: SERVE_ENV/AGENT1_ENV are expanded unquoted into `env` arguments and
-# may contain glob characters (e.g. ANACIN_INJECT_CRASH='*=KILL').
+# may contain glob characters (e.g. ANACIN_FAULT_PLAN=unit.*=crash:KILL).
 set -uf
 
 TAG=$1

@@ -13,7 +13,6 @@
 #include "core/journal.hpp"
 #include "obs_cli.hpp"
 #include "support/fs.hpp"
-#include "support/io_chaos.hpp"
 #include "support/json.hpp"
 
 using namespace anacin;

@@ -29,6 +29,7 @@
 #include "store/hash.hpp"
 #include "store/store.hpp"
 #include "support/error.hpp"
+#include "support/fault_plan.hpp"
 #include "support/fs.hpp"
 
 namespace anacin::cli {
@@ -765,15 +766,6 @@ int run_sweep(std::ostream& out, SweepCliOptions& options,
     }
   }
 
-  // Test hook: SIGKILL ourselves after journaling N fresh points, so the
-  // kill/resume integration test crashes at a deterministic place.
-  std::int64_t crash_after = -1;
-  if (const char* env = std::getenv("ANACIN_CRASH_AFTER_POINTS");
-      env != nullptr && *env != '\0') {
-    crash_after = static_cast<std::int64_t>(
-        parse_uint64_strict(env, "ANACIN_CRASH_AFTER_POINTS"));
-  }
-
   std::vector<double> axis;
   std::vector<double> medians;
   std::optional<core::CsvWriter> csv;
@@ -783,7 +775,6 @@ int run_sweep(std::ostream& out, SweepCliOptions& options,
   }
   json::Value points_json = json::Value::array();
   std::size_t quarantined_units = 0;
-  std::int64_t fresh_points = 0;
   bool interrupted = false;
 
   for (const Point& point : points) {
@@ -814,10 +805,6 @@ int run_sweep(std::ostream& out, SweepCliOptions& options,
       result_json = result.to_json();
       summary = result.distance_summary;
       if (journal != nullptr) journal->record(point_key, result_json);
-      ++fresh_points;
-      if (crash_after >= 0 && fresh_points >= crash_after) {
-        std::raise(SIGKILL);
-      }
     }
     quarantined_units +=
         result_json.at("resilience").at("quarantined").size();
@@ -883,78 +870,6 @@ int cmd_sweep(const std::vector<const char*>& argv, std::ostream& out) {
   return run_sweep(out, options, workers.get());
 }
 
-/// The --net-chaos-* flag set shared by serve and agent. Flags override
-/// the ANACIN_NET_CHAOS environment spec field-by-field, so a fleet
-/// script can set a baseline in the environment and a single process can
-/// still be dialed up or down from its command line. Negative defaults
-/// mean "not set here".
-struct ChaosCliOptions {
-  std::uint64_t seed = 0;
-  double drop = -1.0;
-  double corrupt = -1.0;
-  double reorder = -1.0;
-  double reset = -1.0;
-  double delay = -1.0;
-  double delay_ms = -1.0;
-  double partition = -1.0;
-  double partition_ms = -1.0;
-
-  void add_to(ArgParser& parser) {
-    parser.add_uint64("net-chaos-seed",
-                      "seed of the deterministic fault stream (0 keeps the "
-                      "ANACIN_NET_CHAOS / default seed)",
-                      &seed);
-    parser.add_double("net-chaos-drop",
-                      "probability a sent frame is silently dropped", &drop);
-    parser.add_double("net-chaos-corrupt",
-                      "probability a sent frame gets one byte flipped "
-                      "(after the CRC32C trailer, so the peer sees it)",
-                      &corrupt);
-    parser.add_double("net-chaos-reorder",
-                      "probability a sent frame swaps with its successor",
-                      &reorder);
-    parser.add_double("net-chaos-reset",
-                      "probability a send tears the connection down instead",
-                      &reset);
-    parser.add_double("net-chaos-delay",
-                      "probability a sent frame is delayed", &delay);
-    parser.add_double("net-chaos-delay-ms",
-                      "upper bound of the injected delay", &delay_ms);
-    parser.add_double("net-chaos-partition",
-                      "probability a send opens a one-way blackhole window",
-                      &partition);
-    parser.add_double("net-chaos-partition-ms",
-                      "length of the one-way blackhole window",
-                      &partition_ms);
-  }
-
-  net::ChaosConfig resolve() const {
-    net::ChaosConfig config =
-        net::ChaosConfig::from_env().value_or(net::ChaosConfig{});
-    if (seed != 0) config.seed = seed;
-    const auto probability = [](const char* flag, double value) {
-      ANACIN_CHECK(value <= 1.0,
-                   std::string(flag) + " is a probability in [0,1]");
-      return value;
-    };
-    if (drop >= 0) config.drop = probability("--net-chaos-drop", drop);
-    if (corrupt >= 0) {
-      config.corrupt = probability("--net-chaos-corrupt", corrupt);
-    }
-    if (reorder >= 0) {
-      config.reorder = probability("--net-chaos-reorder", reorder);
-    }
-    if (reset >= 0) config.reset = probability("--net-chaos-reset", reset);
-    if (delay >= 0) config.delay = probability("--net-chaos-delay", delay);
-    if (delay_ms >= 0) config.delay_ms = delay_ms;
-    if (partition >= 0) {
-      config.partition = probability("--net-chaos-partition", partition);
-    }
-    if (partition_ms >= 0) config.partition_ms = partition_ms;
-    return config;
-  }
-};
-
 int cmd_serve(const std::vector<const char*>& argv, std::ostream& out) {
   SweepCliOptions options;
   // Agent loss is expected in a fleet; default to re-queueing a unit a few
@@ -968,7 +883,6 @@ int cmd_serve(const std::vector<const char*>& argv, std::ostream& out) {
   double heartbeat_timeout_ms = 10'000.0;
   double unit_lease_ms = 30'000.0;
   int max_inflight = 0;
-  ChaosCliOptions chaos;
   ArgParser parser(
       "anacin serve — run a sweep as a scheduler farming work units to "
       "`anacin agent` fleets over TCP (see docs/DISTRIBUTED.md)");
@@ -995,7 +909,6 @@ int cmd_serve(const std::vector<const char*>& argv, std::ostream& out) {
                  "at most this many units on the fabric at once "
                  "(0 = unbounded)",
                  &max_inflight);
-  chaos.add_to(parser);
   if (!parser.parse(static_cast<int>(argv.size()), argv.data())) return 0;
   ANACIN_CHECK(agents >= 1, "--agents must be >= 1");
   ANACIN_CHECK(port >= 0 && port <= 65535, "--port must be in [0,65535]");
@@ -1018,12 +931,8 @@ int cmd_serve(const std::vector<const char*>& argv, std::ostream& out) {
   server_config.heartbeat_timeout_ms = heartbeat_timeout_ms;
   server_config.unit_lease_ms = unit_lease_ms;
   server_config.max_inflight = static_cast<std::size_t>(max_inflight);
-  server_config.chaos = chaos.resolve();
   net::AgentServer server(server_config, *store);
   out << "serve: listening on " << bind << ":" << server.port() << '\n';
-  if (server_config.chaos.enabled()) {
-    out << "serve: " << server_config.chaos.summary() << '\n';
-  }
   if (!port_file.empty()) {
     support::atomic_write_file(port_file, std::to_string(server.port()));
   }
@@ -1042,7 +951,6 @@ int cmd_agent(const std::vector<const char*>& argv, std::ostream& out) {
   std::uint64_t max_units = 0;
   int reconnect_max = 5;
   double reconnect_backoff_ms = 100.0;
-  ChaosCliOptions chaos;
   ArgParser parser(
       "anacin agent — join an `anacin serve` scheduler and execute its "
       "work units against the local artifact store");
@@ -1061,7 +969,6 @@ int cmd_agent(const std::vector<const char*>& argv, std::ostream& out) {
   parser.add_double("reconnect-backoff-ms",
                     "base of the seeded exponential reconnect backoff",
                     &reconnect_backoff_ms);
-  chaos.add_to(parser);
   if (!parser.parse(static_cast<int>(argv.size()), argv.data())) return 0;
   ANACIN_CHECK(heartbeat_ms > 0.0, "--heartbeat-ms must be > 0");
   ANACIN_CHECK(reconnect_max >= 1, "--reconnect-max must be >= 1");
@@ -1092,11 +999,7 @@ int cmd_agent(const std::vector<const char*>& argv, std::ostream& out) {
   config.max_units = max_units;
   config.reconnect_max = reconnect_max;
   config.reconnect_backoff_ms = reconnect_backoff_ms;
-  config.chaos = chaos.resolve();
   out << "agent: joining " << config.host << ":" << config.port << '\n';
-  if (config.chaos.enabled()) {
-    out << "agent: " << config.chaos.summary() << '\n';
-  }
   return net::run_agent(*store, config);
 }
 
@@ -1718,12 +1621,6 @@ const char kUsage[] =
     "                       discipline at durable commit points (journal,\n"
     "                       reports, store index; paranoid adds store\n"
     "                       object publishes) — docs/RESILIENCE.md\n"
-    "  --io-chaos SPEC      seeded disk fault injection, e.g.\n"
-    "                       \"seed=7,enospc=0.05,eio=0.01,rename_fail=0.02,\n"
-    "                       fsync_drop=0.1,crash_after=12,scope=store\"\n"
-    "                       (also via ANACIN_IO_CHAOS; --io-chaos-KEY VALUE\n"
-    "                       overrides single fields, e.g.\n"
-    "                       --io-chaos-crash-after 12)\n"
     "\n"
     "fault injection (run / measure / sweep):\n"
     "  --fault-drop P       message drop probability [0..1]; in `sweep`,\n"
@@ -1753,6 +1650,12 @@ const char kUsage[] =
     "  exit codes: 0 ok, 1 error, 2 partial results, 64 usage,\n"
     "              130 interrupted (SIGINT drains in-flight work first),\n"
     "              143 terminated (SIGTERM, same graceful drain)\n"
+    "\n"
+    "fault plan (testing; see docs/RESILIENCE.md):\n"
+    "  ANACIN_FAULT_PLAN    seeded unit, disk and network fault injection,\n"
+    "                       read by every anacin process, e.g.\n"
+    "                       \"seed=7,unit.run:1=permanent,disk.enospc=0.05,\n"
+    "                       disk.scope=store,net.reset=0.25\"\n"
     "\n"
     "commands:\n"
     "  patterns    list the packaged mini-applications\n"
@@ -1784,12 +1687,6 @@ struct GlobalOptions {
   std::uint64_t store_max_bytes = 256ull << 20;
   /// --durability level; empty keeps the environment/default (none).
   std::string durability;
-  /// Full --io-chaos spec (same grammar as ANACIN_IO_CHAOS); overrides
-  /// the environment wholesale when given.
-  std::string io_chaos_spec;
-  /// Field-by-field --io-chaos-KEY overrides, applied on top of the env
-  /// spec (or the flag spec) in command-line order.
-  std::vector<std::pair<std::string, std::string>> io_chaos_fields;
 };
 
 int dispatch(const std::string& command, const std::vector<const char*>& rest,
@@ -1857,38 +1754,6 @@ int parse_global_options(int argc, const char* const* argv,
              "none, commit, or paranoid")) {
       continue;
     }
-    if (take("--io-chaos", &options->io_chaos_spec, "a chaos spec")) continue;
-    {
-      // --io-chaos-KEY VALUE maps onto the spec key KEY (dashes become
-      // underscores), overriding ANACIN_IO_CHAOS field-by-field like the
-      // net-chaos CLI flags do.
-      constexpr std::string_view kIoChaosPrefix = "--io-chaos-";
-      if (arg.size() > kIoChaosPrefix.size() &&
-          arg.substr(0, kIoChaosPrefix.size()) == kIoChaosPrefix) {
-        std::string key;
-        std::string value;
-        const std::size_t eq = arg.find('=');
-        if (eq != std::string_view::npos) {
-          key = std::string(arg.substr(kIoChaosPrefix.size(),
-                                       eq - kIoChaosPrefix.size()));
-          value = std::string(arg.substr(eq + 1));
-          ++index;
-        } else {
-          key = std::string(arg.substr(kIoChaosPrefix.size()));
-          if (index + 1 >= argc) {
-            throw ConfigError(std::string(arg) + " requires a value");
-          }
-          value = argv[index + 1];
-          index += 2;
-        }
-        for (char& c : key) {
-          if (c == '-') c = '_';
-        }
-        options->io_chaos_fields.emplace_back(std::move(key),
-                                              std::move(value));
-        continue;
-      }
-    }
     if (arg == "--no-store") {
       options->no_store = true;
       ++index;
@@ -1924,6 +1789,9 @@ struct ActiveStoreGuard {
 int run_cli(int argc, const char* const* argv, std::ostream& out,
             std::ostream& err) {
   try {
+    // The only reader of the fault plan: every anacin process — worker
+    // children and agents included — installs it here, per invocation.
+    support::install_fault_plan(support::FaultPlan::from_env());
     GlobalOptions global_options;
     const int command_index = parse_global_options(argc, argv, &global_options);
     if (command_index >= argc) {
@@ -1933,32 +1801,14 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
     if (!global_options.trace_out.empty()) {
       obs::Tracer::global().set_enabled(true);
     }
-    // Durability and disk chaos install process-wide BEFORE the store is
-    // constructed (store construction may already write the index) and
-    // are re-exported into the environment so forked worker children and
-    // spawned agents inherit the exact same configuration.
+    // Durability installs process-wide BEFORE the store is constructed
+    // (store construction may already write the index) and is re-exported
+    // into the environment so forked worker children and spawned agents
+    // inherit the exact same configuration.
     if (!global_options.durability.empty()) {
       support::set_durability(
           support::parse_durability(global_options.durability));
       ::setenv("ANACIN_DURABILITY", global_options.durability.c_str(), 1);
-    }
-    {
-      std::optional<support::IoChaosConfig> io_chaos =
-          global_options.io_chaos_spec.empty()
-              ? support::IoChaosConfig::from_env()
-              : std::optional<support::IoChaosConfig>(
-                    support::IoChaosConfig::parse(
-                        global_options.io_chaos_spec));
-      if (!global_options.io_chaos_fields.empty()) {
-        if (!io_chaos.has_value()) io_chaos.emplace();
-        for (const auto& [key, value] : global_options.io_chaos_fields) {
-          io_chaos->apply(key, value);
-        }
-      }
-      if (io_chaos.has_value()) {
-        support::install_io_chaos(io_chaos);
-        ::setenv("ANACIN_IO_CHAOS", io_chaos->spec().c_str(), 1);
-      }
     }
     const std::string command = argv[command_index];
     std::unique_ptr<store::ArtifactStore> artifact_store;
@@ -1982,17 +1832,16 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
     const int code = dispatch(command, rest, out, err);
 
     if (!global_options.metrics_out.empty()) {
-      // Export the durability layer's own counters into the snapshot.
-      // io.durable_ops is what the crash-consistency explorer sweeps:
-      // re-running with --io-chaos-crash-after k for every k in [1, N]
-      // covers every durable commit point of this invocation. (The
+      // Export the durability layer's and the fault plan's own counters
+      // into the snapshot. io.durable_ops is what the crash-consistency
+      // explorer sweeps: re-running with disk.crash_after=k for every k in
+      // [1, N] covers every durable commit point of this invocation. (The
       // metrics write below happens after the snapshot, so N excludes
-      // it — exactly the ops a chaos re-run without --metrics-out sees.)
+      // it — exactly the ops a re-run without --metrics-out sees.)
       obs::counter("fs.atomic_writes").add(support::atomic_write_count());
-      obs::counter("io.durable_ops")
-          .add(support::io_chaos::durable_op_count());
-      obs::counter("io.chaos_faults_injected")
-          .add(support::io_chaos::injected_fault_count());
+      for (const auto& [name, value] : support::faults::counters()) {
+        obs::counter(name).add(value);
+      }
       core::write_json_file(global_options.metrics_out,
                             obs::Registry::global().snapshot_json());
       out << "metrics written to " << global_options.metrics_out << '\n';

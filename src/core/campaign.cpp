@@ -10,6 +10,7 @@
 #include "proc/executor.hpp"
 #include "proc/worker_main.hpp"
 #include "support/error.hpp"
+#include "support/fault_plan.hpp"
 #include "support/rng.hpp"
 
 namespace anacin::core {
@@ -334,7 +335,7 @@ analysis::NdMeasurement measure_nd_with_store(
             measurement.distances[pair.out] = *hit;
             return;
           }
-          supervisor.injector().apply_execution_hooks(unit);
+          support::faults::on_unit_body(unit);
           const double distance =
               kernels::counted_distance(features[pair.a], features[pair.b]);
           measurement.distances[pair.out] = distance;
@@ -439,7 +440,7 @@ CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
                                                       config.shape,
                                                       sim_config));
             } else {
-              supervisor.injector().apply_execution_hooks(unit);
+              support::faults::on_unit_body(unit);
             }
             if (store != nullptr) {
               if (auto cached = store->load_run(run_keys[i])) {
@@ -522,7 +523,7 @@ CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
                                                 config.shape,
                                                 config.reference_sim_config()));
       } else {
-        supervisor.injector().apply_execution_hooks("reference");
+        support::faults::on_unit_body("reference");
       }
       reference = reference_graph(config, program, store);
     });
@@ -571,7 +572,7 @@ CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
       }
       const auto kernel = kernels::make_kernel(config.kernel);
       const UnitReport report = supervisor.run("measure", [&] {
-        supervisor.injector().apply_execution_hooks("measure");
+        support::faults::on_unit_body("measure");
         result.measurement =
             analysis::measure_nd(*kernel, config.label_policy, *run_set,
                                  &result.reference, config.reduction, pool);

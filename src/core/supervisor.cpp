@@ -8,16 +8,14 @@
 #include "obs/obs.hpp"
 #include "store/hash.hpp"
 #include "support/error.hpp"
+#include "support/fault_plan.hpp"
 #include "support/rng.hpp"
 #include "support/string_util.hpp"
 
 namespace anacin::core {
 
-Supervisor::Supervisor(RetryPolicy policy, std::uint64_t campaign_seed,
-                       FailureInjector injector)
-    : policy_(policy),
-      campaign_seed_(campaign_seed),
-      injector_(std::move(injector)) {}
+Supervisor::Supervisor(RetryPolicy policy, std::uint64_t campaign_seed)
+    : policy_(policy), campaign_seed_(campaign_seed) {}
 
 std::uint64_t Supervisor::backoff_us(const std::string& unit_id,
                                      int attempt) const {
@@ -55,10 +53,8 @@ UnitReport Supervisor::run(const std::string& unit_id,
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     report.attempts = attempt;
     try {
-      // The injector runs inside the timed section so an injected hang
-      // exercises the deadline path exactly like genuinely slow work.
       const auto start = std::chrono::steady_clock::now();
-      injector_.on_attempt(unit_id, attempt);
+      support::faults::on_attempt(unit_id, attempt);
       work();
       if (policy_.run_deadline_ms > 0.0) {
         const double elapsed_ms =

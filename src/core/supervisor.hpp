@@ -6,7 +6,6 @@
 #include <string>
 
 #include "support/error.hpp"
-#include "support/failure_injector.hpp"
 
 namespace anacin::core {
 
@@ -42,25 +41,19 @@ struct UnitReport {
   bool has_triage = false;
 };
 
-/// Deterministic failure injection lives in support/ (it also runs inside
-/// sandboxed worker children); the historical name stays usable here.
-using FailureInjector = support::FailureInjector;
-
 /// Wraps every campaign work unit (per-run simulation, reference run,
 /// kernel-distance pair) with the typed error taxonomy, a per-attempt
-/// wall-clock deadline, and seeded exponential-backoff retries. Thread
-/// safe: run() may be called concurrently from pool workers.
+/// wall-clock deadline, and seeded exponential-backoff retries. Every
+/// attempt first runs the installed fault plan's attempt hook
+/// (support/fault_plan.hpp). Thread safe: run() may be called
+/// concurrently from pool workers.
 class Supervisor {
 public:
   /// `campaign_seed` feeds the deterministic backoff jitter, so identical
   /// (seed, injected-failure schedule) pairs retry identically.
-  Supervisor(RetryPolicy policy, std::uint64_t campaign_seed,
-             FailureInjector injector = FailureInjector::from_env());
+  Supervisor(RetryPolicy policy, std::uint64_t campaign_seed);
 
   const RetryPolicy& policy() const { return policy_; }
-  /// The snapshotted injector, exposed so unit bodies can apply the
-  /// crash/hang execution hooks in whichever process executes the work.
-  const FailureInjector& injector() const { return injector_; }
 
   /// Execute `work`, retrying transient failures per the policy. Never
   /// throws for unit failures — the report carries the outcome and the
@@ -77,7 +70,6 @@ private:
 
   RetryPolicy policy_;
   std::uint64_t campaign_seed_ = 0;
-  FailureInjector injector_;
   mutable std::mutex mutex_;
   mutable std::uint64_t retries_ = 0;
 };

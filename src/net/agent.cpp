@@ -10,12 +10,13 @@
 #include <span>
 #include <thread>
 
+#include "net/chaos.hpp"
 #include "net/wire.hpp"
 #include "obs/obs.hpp"
 #include "proc/protocol.hpp"
 #include "proc/worker_main.hpp"
 #include "store/codec.hpp"
-#include "support/failure_injector.hpp"
+#include "support/fault_plan.hpp"
 #include "support/rng.hpp"
 
 namespace anacin::net {
@@ -157,7 +158,7 @@ void fetch_object(Connection& conn, store::ObjectStore& objects,
         objects.put(key, envelope.kind, bytes);
       } catch (const IoError& disk) {
         // Local disk fault during admission (full disk, device error —
-        // possibly injected io chaos riding on top of net chaos). The
+        // possibly injected disk faults riding on top of net faults). The
         // bytes were fine; the *disk* failed. Transient from the fleet's
         // point of view: the scheduler re-queues the unit and a healthy
         // agent picks it up.
@@ -181,17 +182,19 @@ void fetch_object(Connection& conn, store::ObjectStore& objects,
 }
 
 int run_agent(store::ArtifactStore& store, const AgentConfig& config) {
-  const auto injector = support::FailureInjector::from_env();
   const std::string name =
       config.name.empty() ? default_agent_name() : config.name;
   // Seeded jitter so a whole fleet redialing a restarted scheduler does
-  // not thunder in lock-step; per-agent stream via the name.
+  // not thunder in lock-step; per-agent stream via the name, base seed
+  // from the fault plan (0 without one).
   std::uint64_t name_hash = 1469598103934665603ull;
   for (const char c : name) {
     name_hash = (name_hash ^ static_cast<unsigned char>(c)) *
                 1099511628211ull;
   }
-  Rng backoff_rng(hash_combine(mix64(config.chaos.seed), name_hash));
+  const support::FaultPlan* plan = support::installed_fault_plan();
+  Rng backoff_rng(
+      hash_combine(mix64(plan == nullptr ? 0 : plan->seed), name_hash));
 
   std::shared_ptr<Connection> conn;
   std::string token;  // session identity; survives reconnects
@@ -218,10 +221,11 @@ int run_agent(store::ArtifactStore& store, const AgentConfig& config) {
             std::chrono::duration<double, std::milli>(delay_ms));
       }
       try {
-        std::unique_ptr<Connection> fresh = maybe_wrap_chaos(
-            TcpConnection::connect(config.host, config.port,
-                                   config.connect_timeout_ms),
-            config.chaos);
+        // The installed fault plan's net.* faults apply to the agent's
+        // side of the connection (agent→scheduler direction).
+        std::unique_ptr<Connection> fresh =
+            maybe_wrap_faults(TcpConnection::connect(
+                config.host, config.port, config.connect_timeout_ms));
         std::optional<Registration> reg;
         try {
           reg = register_with(*fresh, name, token,
@@ -275,7 +279,7 @@ int run_agent(store::ArtifactStore& store, const AgentConfig& config) {
       const json::Value request = json::parse(incoming.frame.payload);
       unit = request.at("unit").as_string();
       // Heartbeats go through the connection object (not the raw fd) so
-      // chaos injection applies to them like any other frame.
+      // injected net faults apply to them like any other frame.
       const proc::Heartbeater heartbeater(
           [connection = conn.get()] {
             connection->send_frame(proc::FrameType::kHeartbeat, {});
@@ -289,7 +293,7 @@ int run_agent(store::ArtifactStore& store, const AgentConfig& config) {
       // Injected crashes/hangs fire in whichever process executes the
       // unit — here, in distributed mode (the scheduler waits out the
       // lease, then re-queues).
-      injector.apply_execution_hooks(unit);
+      support::faults::on_unit_body(unit);
       const json::Value reply = proc::execute_unit(store, request);
       const auto result_key =
           store::Digest::from_hex(reply.at("key").as_string());

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <string>
 
-#include "net/chaos.hpp"
 #include "net/socket.hpp"
 #include "store/store.hpp"
 #include "support/error.hpp"
@@ -33,9 +32,6 @@ struct AgentConfig {
   /// it never managed to register at all.
   int reconnect_max = 5;
   double reconnect_backoff_ms = 100.0;
-  /// Deterministic fault injection applied to the agent's side of the
-  /// connection (agent→scheduler direction). Inert by default.
-  ChaosConfig chaos;
 };
 
 /// The scheduler connection died mid-conversation (hang-up during a

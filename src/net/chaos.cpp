@@ -2,57 +2,17 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <mutex>
-#include <sstream>
 #include <thread>
-
-#include "obs/obs.hpp"
-#include "support/error.hpp"
-#include "support/rng.hpp"
-#include "support/string_util.hpp"
+#include <vector>
 
 namespace anacin::net {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double parse_probability(const std::string& key, const std::string& text) {
-  std::size_t used = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &used);
-  } catch (const std::exception&) {
-    throw ConfigError("chaos spec: '" + key + "' needs a number, got '" +
-                      text + "'");
-  }
-  if (used != text.size() || value < 0.0 || value > 1.0) {
-    throw ConfigError("chaos spec: '" + key + "' must be in [0,1], got '" +
-                      text + "'");
-  }
-  return value;
-}
-
-double parse_millis(const std::string& key, const std::string& text) {
-  std::size_t used = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &used);
-  } catch (const std::exception&) {
-    throw ConfigError("chaos spec: '" + key + "' needs a number, got '" +
-                      text + "'");
-  }
-  if (used != text.size() || value < 0.0) {
-    throw ConfigError("chaos spec: '" + key + "' must be >= 0, got '" + text +
-                      "'");
-  }
-  return value;
-}
-
 /// Process-wide connection serial: the per-connection fault stream is
-/// derived from (seed, serial), so two agents chaos-wrapped with the same
-/// seed inside one process still fault independently.
+/// derived from (seed, serial), so two agents wrapped with the same seed
+/// inside one process still fault independently.
 std::uint64_t next_connection_serial() {
   static std::atomic<std::uint64_t> serial{0};
   return serial.fetch_add(1, std::memory_order_relaxed);
@@ -60,78 +20,13 @@ std::uint64_t next_connection_serial() {
 
 }  // namespace
 
-ChaosConfig ChaosConfig::parse(const std::string& spec) {
-  ChaosConfig config;
-  for (const std::string& field : split(spec, ',')) {
-    const std::string trimmed(trim(field));
-    if (trimmed.empty()) continue;
-    const std::size_t eq = trimmed.find('=');
-    if (eq == std::string::npos) {
-      throw ConfigError("chaos spec: expected key=value, got '" + trimmed +
-                        "'");
-    }
-    const std::string key(trim(trimmed.substr(0, eq)));
-    const std::string value(trim(trimmed.substr(eq + 1)));
-    if (key == "seed") {
-      try {
-        config.seed = std::stoull(value);
-      } catch (const std::exception&) {
-        throw ConfigError("chaos spec: 'seed' needs an integer, got '" +
-                          value + "'");
-      }
-    } else if (key == "drop") {
-      config.drop = parse_probability(key, value);
-    } else if (key == "corrupt") {
-      config.corrupt = parse_probability(key, value);
-    } else if (key == "reorder") {
-      config.reorder = parse_probability(key, value);
-    } else if (key == "reset") {
-      config.reset = parse_probability(key, value);
-    } else if (key == "delay") {
-      config.delay = parse_probability(key, value);
-    } else if (key == "delay_ms") {
-      config.delay_ms = parse_millis(key, value);
-    } else if (key == "partition") {
-      config.partition = parse_probability(key, value);
-    } else if (key == "partition_ms") {
-      config.partition_ms = parse_millis(key, value);
-    } else {
-      throw ConfigError("chaos spec: unknown key '" + key + "'");
-    }
-  }
-  return config;
-}
-
-std::optional<ChaosConfig> ChaosConfig::from_env() {
-  const char* spec = std::getenv("ANACIN_NET_CHAOS");
-  if (spec == nullptr || *spec == '\0') return std::nullopt;
-  return parse(spec);
-}
-
-std::string ChaosConfig::summary() const {
-  std::ostringstream os;
-  os << "chaos seed=" << seed;
-  if (drop > 0) os << " drop=" << drop;
-  if (corrupt > 0) os << " corrupt=" << corrupt;
-  if (reorder > 0) os << " reorder=" << reorder;
-  if (reset > 0) os << " reset=" << reset;
-  if (delay > 0) os << " delay=" << delay << " delay_ms=" << delay_ms;
-  if (partition > 0) {
-    os << " partition=" << partition << " partition_ms=" << partition_ms;
-  }
-  return os.str();
-}
-
 struct FaultyConnection::Impl {
-  ChaosConfig config;
-  Rng rng;
-  std::mutex mutex;               // guards rng, held, partition_until
-  std::vector<char> held;         // reorder buffer (at most one frame)
-  Clock::time_point partition_until{};
+  support::SendFaults faults;
+  std::mutex mutex;        // guards faults and held
+  std::vector<char> held;  // reorder buffer (at most one frame)
 
-  explicit Impl(const ChaosConfig& cfg)
-      : config(cfg),
-        rng(hash_combine(mix64(cfg.seed), next_connection_serial())) {}
+  explicit Impl(const support::FaultPlan& plan)
+      : faults(plan, next_connection_serial()) {}
 
   /// Send the held (reordered) frame, if any. Caller holds `mutex`.
   void flush_held(Connection& inner) {
@@ -143,8 +38,8 @@ struct FaultyConnection::Impl {
 };
 
 FaultyConnection::FaultyConnection(std::unique_ptr<Connection> inner,
-                                   const ChaosConfig& config)
-    : inner_(std::move(inner)), impl_(std::make_unique<Impl>(config)) {}
+                                   const support::FaultPlan& plan)
+    : inner_(std::move(inner)), impl_(std::make_unique<Impl>(plan)) {}
 
 FaultyConnection::~FaultyConnection() { close(); }
 
@@ -161,70 +56,47 @@ void FaultyConnection::close() {
 bool FaultyConnection::send_frame(proc::FrameType type,
                                   std::string_view payload) {
   const std::lock_guard<std::mutex> lock(impl_->mutex);
-  const ChaosConfig& cfg = impl_->config;
-  Rng& rng = impl_->rng;
-
   if (!inner_->valid()) return false;
 
-  // Connection reset: the strongest fault — tear the transport down so
-  // the sender sees a failed write and the peer sees EOF.
-  if (rng.bernoulli(cfg.reset)) {
-    obs::counter("net.chaos_resets").add(1);
-    impl_->held.clear();  // the reset also eats any held frame
-    inner_->close();
-    return false;
-  }
-
-  // One-way partition: frames in this direction vanish for a window, but
-  // the send reports success — exactly how a blackholing middlebox looks.
-  const auto now = Clock::now();
-  if (now < impl_->partition_until) return true;
-  if (rng.bernoulli(cfg.partition)) {
-    obs::counter("net.chaos_partitions").add(1);
-    impl_->partition_until =
-        now + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double, std::milli>(cfg.partition_ms));
-    return true;
-  }
-
-  if (rng.bernoulli(cfg.drop)) {
-    obs::counter("net.chaos_dropped").add(1);
-    return true;  // silently gone; liveness machinery must notice
-  }
-
-  if (rng.bernoulli(cfg.delay)) {
-    obs::counter("net.chaos_delayed").add(1);
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        rng.uniform(0.0, cfg.delay_ms)));
-  }
-
-  // From here the frame will reach the wire, possibly damaged or swapped
-  // with its successor. Encode once at the connection's version so the
-  // corruption happens AFTER the CRC32C trailer is computed — that is the
-  // whole point: the receiver's CRC check must fail.
+  // Encode at the connection's version before deciding, so a corruption
+  // lands AFTER the CRC32C trailer is computed — the receiver's CRC check
+  // must fail.
   std::vector<char> frame =
       proc::encode_frame(type, payload, inner_->version());
   if (frame.empty()) return false;  // oversized payload
 
-  if (rng.bernoulli(cfg.corrupt) && frame.size() > 5) {
-    // Flip one byte past the header: never the length field (the stream
-    // must stay frame-aligned) and never the type byte (an unknown type
-    // is a *protocol* error, not a *corrupt* frame). Payload and trailer
-    // bytes are both fair game — either way the CRC check fails.
-    const auto offset = static_cast<std::size_t>(
-        rng.uniform_int(5, static_cast<std::int64_t>(frame.size()) - 1));
-    frame[offset] = static_cast<char>(frame[offset] ^ 0xff);
-    obs::counter("net.chaos_corrupted").add(1);
+  using Kind = support::SendFaults::Decision::Kind;
+  const support::SendFaults::Decision fault =
+      impl_->faults.next_send(frame.size(), impl_->held.empty());
+  switch (fault.kind) {
+    case Kind::kReset:
+      // Tear the transport down: the sender sees a failed write, the peer
+      // EOF. The reset also eats any held frame.
+      impl_->held.clear();
+      inner_->close();
+      return false;
+    case Kind::kPartition:
+    case Kind::kDrop:
+      // Gone, yet the send reports success — exactly how a blackholing
+      // middlebox looks; the liveness machinery must notice.
+      return true;
+    case Kind::kSend:
+      break;
   }
-
-  if (impl_->held.empty() && rng.bernoulli(cfg.reorder)) {
-    // Hold this frame; it goes out after the next send (or is flushed by
-    // the next recv/close so a request/response peer cannot deadlock).
-    obs::counter("net.chaos_reordered").add(1);
+  if (fault.delay_ms > 0.0) {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(fault.delay_ms));
+  }
+  if (fault.corrupt_offset != 0) {
+    frame[fault.corrupt_offset] =
+        static_cast<char>(frame[fault.corrupt_offset] ^ 0xff);
+  }
+  if (fault.hold) {
+    // Held; it goes out after the next send (or is flushed by the next
+    // recv/close so a request/response peer cannot deadlock).
     impl_->held = std::move(frame);
     return true;
   }
-
   const bool sent = inner_->send_raw({frame.data(), frame.size()});
   impl_->flush_held(*inner_);
   return sent;
@@ -251,10 +123,11 @@ void FaultyConnection::set_version(std::uint16_t version) {
   inner_->set_version(version);
 }
 
-std::unique_ptr<Connection> maybe_wrap_chaos(std::unique_ptr<Connection> conn,
-                                             const ChaosConfig& config) {
-  if (!config.enabled()) return conn;
-  return std::make_unique<FaultyConnection>(std::move(conn), config);
+std::unique_ptr<Connection> maybe_wrap_faults(
+    std::unique_ptr<Connection> conn) {
+  const support::FaultPlan* plan = support::installed_fault_plan();
+  if (plan == nullptr || !plan->net.enabled()) return conn;
+  return std::make_unique<FaultyConnection>(std::move(conn), *plan);
 }
 
 }  // namespace anacin::net

@@ -2,91 +2,31 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "net/socket.hpp"
+#include "support/fault_plan.hpp"
 
 namespace anacin::net {
 
-/// Deterministic network fault injection for the scheduler/agent fabric.
-/// Every knob is a per-frame probability drawn from a seeded stream, so a
-/// chaos campaign replays bit-for-bit: same seed, same connection order,
-/// same faults. Faults are injected at the frame boundary on the *send*
-/// path (the receive path only ever observes their effects), which keeps
-/// the TCP stream byte-aligned — a corrupted frame still parses as a
-/// frame, it just fails its CRC32C check.
-///
-/// The config travels two ways: `--net-chaos-*` CLI flags on `anacin
-/// serve` / `anacin agent`, and the `ANACIN_NET_CHAOS` environment spec
-/// ("seed=7,drop=0.05,corrupt=0.02,reorder=0.1,reset=0.01,delay=0.2,
-/// delay_ms=15,partition=0.005,partition_ms=250"), which lets the fleet
-/// scripts chaos-wrap a process without touching its command line. CLI
-/// flags override the environment field-by-field.
-struct ChaosConfig {
-  /// Base seed of the fault stream. Each connection derives its own
-  /// stream from (seed, connection serial) so concurrent connections
-  /// fault independently but reproducibly.
-  std::uint64_t seed = 0;
-  /// Probability a sent frame is silently dropped (send pretends
-  /// success; the peer's heartbeat/lease machinery must recover).
-  double drop = 0.0;
-  /// Probability a sent frame has one payload byte flipped *after* the
-  /// CRC32C trailer is computed, so the receiver sees kCorrupt.
-  double corrupt = 0.0;
-  /// Probability a sent frame is held back and sent after the next one
-  /// (reorder window of 1 — bounded so causality violations stay local).
-  double reorder = 0.0;
-  /// Probability a send tears the connection down instead (the peer sees
-  /// EOF mid-conversation, as if the process died or the NIC reset).
-  double reset = 0.0;
-  /// Probability a sent frame is delayed by a uniform sleep in
-  /// [0, delay_ms].
-  double delay = 0.0;
-  double delay_ms = 20.0;
-  /// Probability a send opens a one-way partition: this direction
-  /// blackholes every frame for partition_ms while the peer's frames
-  /// still arrive.
-  double partition = 0.0;
-  double partition_ms = 200.0;
-
-  /// True when any fault has non-zero probability. A parsed-but-inert
-  /// config (all zeros) wraps to a pass-through FaultyConnection, which
-  /// the transparency fuzz test exploits.
-  bool enabled() const {
-    return drop > 0 || corrupt > 0 || reorder > 0 || reset > 0 || delay > 0 ||
-           partition > 0;
-  }
-
-  /// Parse a "key=value,key=value" spec. Unknown keys and malformed
-  /// values throw ConfigError — a typo'd chaos spec silently running a
-  /// *clean* campaign would invalidate the experiment.
-  static ChaosConfig parse(const std::string& spec);
-
-  /// Config from ANACIN_NET_CHAOS, or nullopt when the variable is unset
-  /// or empty.
-  static std::optional<ChaosConfig> from_env();
-
-  /// One-line human summary for startup logs ("chaos seed=7 drop=0.05
-  /// corrupt=0.02"), listing only the active knobs.
-  std::string summary() const;
-};
-
-/// A Connection decorator that applies a ChaosConfig to the send path.
-/// The wrapped connection does the real I/O; this layer decides, per
-/// frame, whether the bytes go out clean, corrupted, late, out of order,
-/// or not at all. recv_frame passes through untouched (apart from
+/// A Connection decorator that applies a fault plan's net.* faults to the
+/// send path. The wrapped connection does the real I/O; the plan's
+/// per-connection stream (support::SendFaults) decides, per frame, whether
+/// the bytes go out clean, corrupted, late, out of order, or not at all.
+/// Faults are injected at the frame boundary, which keeps the TCP stream
+/// byte-aligned — a corrupted frame still parses as a frame, it just fails
+/// its CRC32C check. recv_frame passes through untouched (apart from
 /// flushing a held reordered frame first, so a request/response peer
 /// can't deadlock behind the reorder buffer).
 ///
 /// Determinism contract: the fault sequence is a pure function of
-/// (config.seed, connection serial, frame index on this connection).
+/// (plan seed, connection serial, frame index on this connection).
 class FaultyConnection : public Connection {
  public:
-  /// Wrap `inner`, deriving this connection's fault stream from the
-  /// config seed and a process-wide connection serial.
-  FaultyConnection(std::unique_ptr<Connection> inner, const ChaosConfig& config);
+  /// Wrap `inner`, deriving this connection's fault stream from the plan
+  /// seed and a process-wide connection serial (so two connections in one
+  /// process fault independently).
+  FaultyConnection(std::unique_ptr<Connection> inner,
+                   const support::FaultPlan& plan);
   ~FaultyConnection() override;
 
   bool valid() const override;
@@ -106,9 +46,10 @@ class FaultyConnection : public Connection {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Wrap `conn` in a FaultyConnection when `config` has any fault enabled;
-/// otherwise return it unchanged (zero overhead on the clean path).
-std::unique_ptr<Connection> maybe_wrap_chaos(std::unique_ptr<Connection> conn,
-                                             const ChaosConfig& config);
+/// Wrap `conn` in a FaultyConnection when the installed fault plan has any
+/// net fault enabled; otherwise return it unchanged (zero overhead on the
+/// clean path).
+std::unique_ptr<Connection> maybe_wrap_faults(
+    std::unique_ptr<Connection> conn);
 
 }  // namespace anacin::net

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "net/chaos.hpp"
 #include "net/wire.hpp"
 #include "obs/obs.hpp"
 #include "store/codec.hpp"
@@ -128,9 +129,9 @@ void AgentServer::accept_loop() {
 }
 
 void AgentServer::register_connection(std::unique_ptr<TcpConnection> raw) {
-  std::unique_ptr<Connection> owned =
-      maybe_wrap_chaos(std::move(raw), config_.chaos);
-  std::shared_ptr<Connection> conn(std::move(owned));
+  // The installed fault plan's net.* faults apply to every accepted
+  // connection (scheduler→agent direction).
+  std::shared_ptr<Connection> conn(maybe_wrap_faults(std::move(raw)));
 
   // The handshake always travels as v1 frames — the framing every peer
   // version can parse — and carries the version claim as data.

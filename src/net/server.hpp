@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/chaos.hpp"
 #include "net/lease.hpp"
 #include "net/socket.hpp"
 #include "proc/executor.hpp"
@@ -40,9 +39,6 @@ struct AgentServerConfig {
   /// once; further execute() calls queue (0 = unbounded). Bounds the
   /// scheduler's memory for request/result JSON under wide campaigns.
   std::size_t max_inflight = 0;
-  /// Deterministic fault injection applied to every accepted connection
-  /// (scheduler→agent direction). Inert by default.
-  ChaosConfig chaos;
 };
 
 /// The scheduler's side of the distributed fabric: accepts `anacin agent`

@@ -17,7 +17,7 @@
 #include "sim/engine.hpp"
 #include "store/codec.hpp"
 #include "support/error.hpp"
-#include "support/failure_injector.hpp"
+#include "support/fault_plan.hpp"
 
 namespace anacin::proc {
 
@@ -280,7 +280,6 @@ json::Value make_pair_request(const std::string& unit,
 
 int worker_main(store::ArtifactStore& store, double heartbeat_interval_ms) {
   ::signal(SIGPIPE, SIG_IGN);
-  const auto injector = support::FailureInjector::from_env();
   std::mutex write_mutex;
 
   while (true) {
@@ -310,7 +309,7 @@ int worker_main(store::ArtifactStore& store, double heartbeat_interval_ms) {
                                     write_mutex);
       // Injected crashes/hangs fire in whichever process executes the
       // unit — here, when isolation is on.
-      injector.apply_execution_hooks(unit);
+      support::faults::on_unit_body(unit);
       const json::Value reply = execute_unit(store, request);
       const std::lock_guard<std::mutex> lock(write_mutex);
       if (!write_frame(STDOUT_FILENO, FrameType::kResult, reply.dump())) {

@@ -19,6 +19,7 @@
 #include "sim/types.hpp"
 #include "store/store.hpp"
 #include "support/error.hpp"
+#include "support/fault_plan.hpp"
 
 namespace anacin::replay {
 
@@ -26,8 +27,8 @@ namespace {
 
 /// Stable short label for a candidate freed set: "<size>@<fnv64 hex>" of
 /// the canonical index list. Unit ids feed the supervisor's backoff
-/// jitter and the failure injector, so equal sets must label equally
-/// across runs and processes.
+/// jitter and the fault plan's unit hooks, so equal sets must label
+/// equally across runs and processes.
 std::string candidate_label(const std::vector<std::size_t>& freed) {
   store::Fnv1a hash;
   for (const std::size_t index : freed) {
@@ -102,7 +103,7 @@ class CandidateEvaluator {
     obs::counter("replay.bisect_candidates").add(1);
     if (store_ == nullptr) {
       // Pure in-process mode: simulate + embed + measure directly.
-      supervisor_.injector().apply_execution_hooks("replay:" + label);
+      support::faults::on_unit_body("replay:" + label);
       const graph::EventGraph graph = simulate_replay(freed);
       const kernels::FeatureVector features = kernel_->features(
           kernels::build_labeled_graph(graph, config_.label_policy));
@@ -142,7 +143,7 @@ class CandidateEvaluator {
       return *distance;
     }
 
-    supervisor_.injector().apply_execution_hooks("replay:" + label);
+    support::faults::on_unit_body("replay:" + label);
     const kernels::FeatureVector features =
         replay_features(freed, replay_key);
     const double distance =
@@ -312,7 +313,7 @@ BisectResult bisect(const BisectConfig& config, ThreadPool& pool,
     }
     if (!loaded) {
       const core::UnitReport report = supervisor.run("record", [&] {
-        supervisor.injector().apply_execution_hooks("record");
+        support::faults::on_unit_body("record");
         const auto pattern_impl = patterns::make_pattern(config.pattern);
         const sim::RunResult run = sim::run_simulation(
             config.record_sim, pattern_impl->program(config.shape));

@@ -1,13 +1,13 @@
 #include "store/object_store.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <optional>
 
 #include "obs/obs.hpp"
 #include "support/error.hpp"
+#include "support/fault_plan.hpp"
 #include "support/fs.hpp"
 
 namespace anacin::store {
@@ -174,7 +174,7 @@ void ObjectStore::save_index_locked() {
   doc.set("objects", std::move(objects));
 
   // Routed through atomic_write_file: unique temp name (no fixed-path
-  // race), io-chaos coverage under the store path class, and fsync at
+  // race), disk-fault coverage under the store path class, and fsync at
   // --durability=commit and above.
   const fs::path path = config_.root / "index.json";
   support::atomic_write_file(path.string(), doc.dump(2) + "\n",
@@ -261,37 +261,39 @@ bool ObjectStore::put(const Digest& key, Kind kind,
   std::error_code ec;
   if (fs::exists(path, ec)) return false;
 
-  fs::create_directories(path.parent_path());
-  // One io-chaos decision per publish; injected failures throw the same
-  // typed IoError a real full disk would, which is what lets the campaign
-  // layer degrade to --no-store semantics instead of aborting.
-  using WriteFault = support::io_chaos::WriteFault;
-  const WriteFault fault =
-      support::io_chaos::next_write_fault(support::PathClass::kStore);
-  if (fault.kind == WriteFault::Kind::kOpenFail) {
-    throw IoError("injected open failure (io chaos) for object " + hex);
+  fs::create_directories(path.parent_path(), ec);
+  if (ec) {
+    throw IoError("cannot create object directory " +
+                  path.parent_path().string() + ": " + ec.message());
   }
-  // Unique temp name per writer, renamed into place: readers never see a
-  // partially written object, and concurrent writers of the same key are
-  // both valid (identical content) so last-rename-wins is safe.
-  static std::atomic<std::uint64_t> temp_sequence{0};
-  const fs::path temp =
-      path.string() + ".tmp." +
-      std::to_string(temp_sequence.fetch_add(1, std::memory_order_relaxed));
+  // One disk decision per publish; injected failures throw the same typed
+  // IoError a real full disk would, which is what lets the campaign layer
+  // degrade to --no-store semantics instead of aborting.
+  using DiskFault = support::faults::DiskFault;
+  const DiskFault fault =
+      support::faults::next_disk_fault(support::PathClass::kStore);
+  if (fault.kind == DiskFault::Kind::kOpenFail) {
+    throw IoError("injected open failure (fault plan) for object " + hex);
+  }
+  // Renamed into place: readers never see a partially written object, and
+  // concurrent writers of the same key — sibling worker processes publish
+  // the same objects — are both valid (identical content), so
+  // last-rename-wins is safe as long as their temps never collide.
+  const fs::path temp = support::unique_temp_path(path);
   {
     std::ofstream out(temp, std::ios::binary | std::ios::trunc);
     if (!out.good()) {
       throw IoError("cannot write object at " + temp.string());
     }
-    if (fault.kind == WriteFault::Kind::kEnospc ||
-        fault.kind == WriteFault::Kind::kEio) {
+    if (fault.kind == DiskFault::Kind::kEnospc ||
+        fault.kind == DiskFault::Kind::kEio) {
       out.write(reinterpret_cast<const char*>(bytes.data()),
                 static_cast<std::streamsize>(bytes.size() / 2));
       out.flush();
       throw IoError(std::string("injected ") +
-                    (fault.kind == WriteFault::Kind::kEnospc ? "ENOSPC"
-                                                             : "EIO") +
-                    " (io chaos) writing object " + hex);
+                    (fault.kind == DiskFault::Kind::kEnospc ? "ENOSPC"
+                                                            : "EIO") +
+                    " (fault plan) writing object " + hex);
     }
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
@@ -309,16 +311,21 @@ bool ObjectStore::put(const Digest& key, Kind kind,
   if (durable && !fault.drop_fsync) {
     support::fsync_path(temp, /*is_directory=*/false);
   }
-  if (fault.kind == WriteFault::Kind::kRenameFail) {
-    throw IoError("injected rename failure (io chaos) publishing object " +
+  if (fault.kind == DiskFault::Kind::kRenameFail) {
+    throw IoError("injected rename failure (fault plan) publishing object " +
                   hex);
   }
-  fs::rename(temp, path);
+  fs::rename(temp, path, ec);
+  if (ec) {
+    const std::string reason = ec.message();
+    fs::remove(temp, ec);
+    throw IoError("cannot publish object " + hex + ": " + reason);
+  }
   if (durable && !fault.drop_fsync) {
     support::fsync_path(path.parent_path(), /*is_directory=*/true);
   }
   bytes_written_counter().add(bytes.size());
-  support::io_chaos::note_durable_op();
+  support::faults::note_durable_commit(support::PathClass::kStore);
 
   std::lock_guard<std::mutex> lock(mutex_);
   Entry entry;
@@ -428,7 +435,7 @@ ObjectStore::RepairReport ObjectStore::repair() {
     // Repair is itself a writer, so it is fault-injectable too: a failed
     // quarantine move leaves the object in place (still listed in
     // `failed`) and a later repair run picks it up again.
-    if (support::io_chaos::fail_rename(support::PathClass::kStore)) {
+    if (support::faults::rename_fails(support::PathClass::kStore)) {
       report.failed.push_back(source.string());
       return false;
     }

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -12,6 +13,7 @@
 #endif
 
 #include "support/error.hpp"
+#include "support/fault_plan.hpp"
 
 namespace anacin::support {
 
@@ -26,7 +28,53 @@ std::atomic<std::uint64_t> g_write_count{0};
 /// litter from a live writer's in-flight publish.
 const fs::file_time_type g_process_start = fs::file_time_type::clock::now();
 
+std::atomic<int> g_durability{-1};  // -1 = not yet resolved from env
+
 }  // namespace
+
+const char* durability_name(Durability level) {
+  switch (level) {
+    case Durability::kNone: return "none";
+    case Durability::kCommit: return "commit";
+    case Durability::kParanoid: return "paranoid";
+  }
+  return "none";
+}
+
+Durability parse_durability(const std::string& text) {
+  if (text == "none") return Durability::kNone;
+  if (text == "commit") return Durability::kCommit;
+  if (text == "paranoid") return Durability::kParanoid;
+  throw ConfigError("--durability must be none, commit, or paranoid, got '" +
+                    text + "'");
+}
+
+Durability durability_level() {
+  int level = g_durability.load(std::memory_order_acquire);
+  if (level < 0) {
+    const char* env = std::getenv("ANACIN_DURABILITY");
+    const Durability parsed = (env != nullptr && *env != '\0')
+                                  ? parse_durability(env)
+                                  : Durability::kNone;
+    level = static_cast<int>(parsed);
+    g_durability.store(level, std::memory_order_release);
+  }
+  return static_cast<Durability>(level);
+}
+
+void set_durability(Durability level) {
+  g_durability.store(static_cast<int>(level), std::memory_order_release);
+}
+
+void reset_durability_for_tests() {
+  g_durability.store(-1, std::memory_order_release);
+}
+
+fs::path unique_temp_path(const fs::path& path) {
+  static std::atomic<std::uint64_t> sequence{0};
+  return path.string() + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
+}
 
 void fsync_path(const fs::path& path, bool is_directory) {
 #ifndef _WIN32
@@ -62,29 +110,15 @@ void atomic_write_file(const std::string& path, const std::string& content,
   }
 
   // One fault decision per durable-write op, drawn before any disk work
-  // so the stream position is independent of filesystem state. The legacy
-  // one-shot hook maps onto the enospc shape; it predates store-internal
-  // writes flowing through here, so store-class writes (index cache,
-  // which degrades gracefully and would silently eat the budget) are
-  // excluded from its count.
-  io_chaos::WriteFault fault = io_chaos::next_write_fault(path_class);
-  if (fault.kind == io_chaos::WriteFault::Kind::kNone &&
-      path_class != PathClass::kStore &&
-      io_chaos::consume_fail_write_after()) {
-    fault.kind = io_chaos::WriteFault::Kind::kEnospc;
-  }
-  using Kind = io_chaos::WriteFault::Kind;
+  // so the stream position is independent of filesystem state.
+  const faults::DiskFault fault = faults::next_disk_fault(path_class);
+  using Kind = faults::DiskFault::Kind;
   if (fault.kind == Kind::kOpenFail) {
-    throw IoError("injected open failure (io chaos) for '" + path + "'");
+    throw IoError("injected open failure (fault plan) for '" + path + "'");
   }
 
-  // Unique temp name per writer so concurrent writers of the same path
-  // never clobber each other's in-progress bytes; the final rename is the
-  // single atomic commit point.
-  static std::atomic<std::uint64_t> temp_sequence{0};
-  const fs::path temp =
-      file_path.string() + ".tmp." +
-      std::to_string(temp_sequence.fetch_add(1, std::memory_order_relaxed));
+  // The final rename is the single atomic commit point.
+  const fs::path temp = unique_temp_path(file_path);
 
   {
     std::ofstream out(temp, std::ios::binary | std::ios::trunc);
@@ -99,7 +133,7 @@ void atomic_write_file(const std::string& path, const std::string& content,
       out.flush();
       throw IoError(std::string("injected ") +
                     (fault.kind == Kind::kEnospc ? "ENOSPC" : "EIO") +
-                    " (io chaos) writing '" + path + "'");
+                    " (fault plan) writing '" + path + "'");
     }
     out << content;
     out.flush();
@@ -116,8 +150,8 @@ void atomic_write_file(const std::string& path, const std::string& content,
   if (fault.kind == Kind::kRenameFail) {
     // The fully written temp stays behind — exactly the litter the
     // stale-temp sweeper exists for.
-    throw IoError("injected rename failure (io chaos) publishing '" + path +
-                  "'");
+    throw IoError("injected rename failure (fault plan) publishing '" +
+                  path + "'");
   }
   fs::rename(temp, file_path, ec);
   if (ec) {
@@ -128,15 +162,11 @@ void atomic_write_file(const std::string& path, const std::string& content,
     fsync_path(file_path.parent_path(), /*is_directory=*/true);
   }
   g_write_count.fetch_add(1, std::memory_order_relaxed);
-  io_chaos::note_durable_op();
+  faults::note_durable_commit(path_class);
 }
 
 std::uint64_t atomic_write_count() {
   return g_write_count.load(std::memory_order_relaxed);
-}
-
-void set_fail_write_after(std::int64_t budget) {
-  io_chaos::set_fail_write_after(budget);
 }
 
 fs::file_time_type process_start_file_time() { return g_process_start; }

@@ -4,12 +4,47 @@
 #include <filesystem>
 #include <string>
 
-#include "support/io_chaos.hpp"
-
 namespace anacin::support {
 
-/// Crash-consistent file write: the content is written to a uniquely named
-/// `<path>.tmp.<n>` sibling, the stream state is checked after every stage
+/// Which durable-write subsystem a path belongs to. Disk faults are scoped
+/// by class (`disk.scope=` in the fault plan), so a campaign can starve the
+/// artifact store of space while the journal keeps committing — the split
+/// the graceful-degradation contract needs to be testable.
+enum class PathClass { kJournal, kStore, kReport, kOther };
+
+/// How hard a committed write chases the platters. See the "Durability
+/// model" section of docs/RESILIENCE.md for what each tier guarantees
+/// after power loss.
+///   kNone      rename-atomic only (page cache decides when bytes land)
+///   kCommit    fsync the data file before rename and the parent
+///              directory after, at every atomic_write_file commit point
+///              (journal, reports, store index)
+///   kParanoid  kCommit plus fsync of every store object publish
+enum class Durability { kNone, kCommit, kParanoid };
+
+const char* durability_name(Durability level);
+
+/// Strict parse of "none" | "commit" | "paranoid"; anything else throws
+/// ConfigError.
+Durability parse_durability(const std::string& text);
+
+/// Process-global durability level. Defaults to kNone; the first read
+/// consults the ANACIN_DURABILITY environment variable (strictly parsed)
+/// so forked worker children inherit the campaign's setting.
+Durability durability_level();
+void set_durability(Durability level);
+
+/// Forget the resolved level so the next durability_level() re-reads the
+/// environment (tests).
+void reset_durability_for_tests();
+
+/// `<path>.tmp.<pid>.<n>`: a temp sibling no other writer — thread or
+/// process — can pick, so concurrent publishers of the same path never
+/// truncate or rename each other's in-progress bytes.
+std::filesystem::path unique_temp_path(const std::filesystem::path& path);
+
+/// Crash-consistent file write: the content is written to a
+/// unique_temp_path() sibling, the stream state is checked after every stage
 /// (open, write, flush), and the temp file is renamed into place only when
 /// the bytes are durably complete. Readers therefore never observe a
 /// truncated file — a crash or full disk leaves at worst a stale previous
@@ -20,13 +55,11 @@ namespace anacin::support {
 /// survives power loss, not just a process crash (docs/RESILIENCE.md,
 /// "Durability model").
 ///
-/// Fault injection: every call consults the process-global io-chaos
-/// engine (ANACIN_IO_CHAOS / --io-chaos-*) under `path_class`, plus the
-/// legacy one-shot ANACIN_FAIL_WRITE_AFTER hook (strictly parsed; kept as
-/// a compatibility alias for the pre-chaos tests). Injected failures
-/// throw IoError and leave the same on-disk shapes real faults would:
-/// enospc/eio leave a partial temp, rename_fail leaves a complete temp,
-/// open_fail leaves nothing.
+/// Fault injection: every call draws one disk decision from the installed
+/// fault plan (support/fault_plan.hpp) under `path_class`. Injected
+/// failures throw IoError and leave the same on-disk shapes real faults
+/// would: enospc/eio leave a partial temp, rename_fail leaves a complete
+/// temp, open_fail leaves nothing.
 ///
 /// Parent directories are created as needed. Throws IoError on any
 /// failure.
@@ -35,11 +68,6 @@ void atomic_write_file(const std::string& path, const std::string& content,
 
 /// Number of successful atomic_write_file calls so far (test observability).
 std::uint64_t atomic_write_count();
-
-/// In-process override of ANACIN_FAIL_WRITE_AFTER (test hook): the next
-/// `budget` writes succeed, then one fails; -1 disables injection.
-/// Forwards to io_chaos::set_fail_write_after.
-void set_fail_write_after(std::int64_t budget);
 
 /// fsync one path. For regular files a failure throws IoError (the bytes
 /// are not durable); directory fsyncs are best-effort (some filesystems

@@ -10,9 +10,8 @@ namespace anacin::support {
 std::string signal_name(int signo);
 
 /// Parse a signal name — "SEGV" or "SIGSEGV", case-insensitive — into its
-/// number. Throws ConfigError on unknown names (used by the
-/// ANACIN_INJECT_CRASH hook, so typos fail loudly instead of injecting
-/// nothing).
+/// number. Throws ConfigError on unknown names (used by the fault plan's
+/// `crash:SIG` hook, so typos fail loudly instead of injecting nothing).
 int signal_from_name(std::string_view name);
 
 }  // namespace anacin::support

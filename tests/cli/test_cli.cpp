@@ -559,12 +559,14 @@ TEST(Cli, SweepOverDropProbability) {
 // Resilience: --keep-going, retries, journal/--resume, cache repair
 // ---------------------------------------------------------------------------
 
+/// A fault plan in the environment: run_cli reads ANACIN_FAULT_PLAN on
+/// every invocation, exactly as a child process would.
 class ScopedInjection {
 public:
   explicit ScopedInjection(const char* spec) {
-    ::setenv("ANACIN_INJECT_FAILURES", spec, 1);
+    ::setenv("ANACIN_FAULT_PLAN", spec, 1);
   }
-  ~ScopedInjection() { ::unsetenv("ANACIN_INJECT_FAILURES"); }
+  ~ScopedInjection() { ::unsetenv("ANACIN_FAULT_PLAN"); }
 };
 
 const std::vector<std::string> kSmallMeasure = {
@@ -578,14 +580,14 @@ std::vector<std::string> with_args(std::vector<std::string> base,
 }
 
 TEST(CliResilience, FailFastAbortsWithExit1) {
-  const ScopedInjection inject("run:1=permanent");
+  const ScopedInjection inject("unit.run:1=permanent");
   const CliRun run = invoke(kSmallMeasure);
   EXPECT_EQ(run.exit_code, 1);
   EXPECT_NE(run.err.find("run:1"), std::string::npos) << run.err;
 }
 
 TEST(CliResilience, KeepGoingQuarantinesWithExit2) {
-  const ScopedInjection inject("run:1=permanent");
+  const ScopedInjection inject("unit.run:1=permanent");
   const CliRun run = invoke(with_args(kSmallMeasure, {"--keep-going"}));
   EXPECT_EQ(run.exit_code, 2) << run.err;
   EXPECT_NE(run.out.find("PARTIAL RESULTS"), std::string::npos) << run.out;
@@ -593,7 +595,7 @@ TEST(CliResilience, KeepGoingQuarantinesWithExit2) {
 }
 
 TEST(CliResilience, TransientFailuresRetryToCleanExit) {
-  const ScopedInjection inject("run:0=transient:2");
+  const ScopedInjection inject("unit.run:0=transient:2");
   const CliRun no_retries = invoke(kSmallMeasure);
   EXPECT_EQ(no_retries.exit_code, 1);
   const CliRun retried =
@@ -608,7 +610,7 @@ TEST(CliResilience, DeadlineFlagFailsHangingUnit) {
   // load — slow-but-healthy units blew it too, every run got quarantined,
   // and the campaign aborted with exit 1 instead of reporting partial
   // results.
-  const ScopedInjection inject("run:2=hang:400");
+  const ScopedInjection inject("unit.run:2=sleep:400");
   const CliRun run = invoke(
       with_args(kSmallMeasure, {"--run-deadline-ms", "100", "--keep-going"}));
   EXPECT_EQ(run.exit_code, 2) << run.err;
@@ -687,7 +689,7 @@ TEST(CliResilience, SweepWithoutResumeDiscardsStaleJournal) {
 }
 
 TEST(CliResilience, SweepKeepGoingPropagatesPartialExit) {
-  const ScopedInjection inject("run:1=permanent");
+  const ScopedInjection inject("unit.run:1=permanent");
   const CliRun run =
       invoke(small_sweep({"--keep-going", "--backoff-us", "0"}));
   EXPECT_EQ(run.exit_code, 2) << run.err;
@@ -724,6 +726,33 @@ TEST(CliResilience, UsageDocumentsExitCodes) {
   const CliRun run = invoke({"help"});
   EXPECT_NE(run.out.find("--keep-going"), std::string::npos);
   EXPECT_NE(run.out.find("130 interrupted"), std::string::npos);
+  EXPECT_NE(run.out.find("ANACIN_FAULT_PLAN"), std::string::npos);
+}
+
+TEST(CliResilience, RetiredFaultSpellingsFailLoudly) {
+  // A stale script that still sets a pre-plan variable must not run a
+  // clean campaign while claiming fault coverage.
+  for (const char* name :
+       {"ANACIN_INJECT_FAILURES", "ANACIN_INJECT_CRASH", "ANACIN_INJECT_HANG",
+        "ANACIN_IO_CHAOS", "ANACIN_NET_CHAOS", "ANACIN_FAIL_WRITE_AFTER",
+        "ANACIN_CRASH_AFTER_POINTS"}) {
+    ::setenv(name, "1", 1);
+    const CliRun run = invoke({"patterns"});
+    ::unsetenv(name);
+    EXPECT_EQ(run.exit_code, 1) << name;
+    EXPECT_NE(run.err.find(name), std::string::npos) << run.err;
+    EXPECT_NE(run.err.find("ANACIN_FAULT_PLAN"), std::string::npos)
+        << run.err;
+  }
+  // The retired flags are gone too: a global one reads as an unknown
+  // command, a subcommand one as an unknown option.
+  EXPECT_EQ(invoke({"--io-chaos", "enospc=1", "patterns"}).exit_code, 64);
+  EXPECT_EQ(invoke({"agent", "--net-chaos-drop", "0.5"}).exit_code, 1);
+  // And a malformed plan is an error, not a clean run.
+  const ScopedInjection inject("disk.enospc=0.5x");
+  const CliRun bad = invoke({"patterns"});
+  EXPECT_EQ(bad.exit_code, 1);
+  EXPECT_NE(bad.err.find("disk.enospc"), std::string::npos) << bad.err;
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "obs/obs.hpp"
 #include "support/error.hpp"
+#include "support/fault_plan.hpp"
 
 namespace anacin::core {
 namespace {
@@ -131,15 +132,9 @@ TEST(RunPatternOnce, ShapeMismatchRejected) {
 // Resilience (supervised units, keep-going, cancellation)
 // ---------------------------------------------------------------------------
 
-/// Injected failures via an env snapshot: the Supervisor inside
-/// run_campaign reads ANACIN_INJECT_FAILURES at construction.
-class ScopedInjection {
-public:
-  explicit ScopedInjection(const char* spec) {
-    ::setenv("ANACIN_INJECT_FAILURES", spec, 1);
-  }
-  ~ScopedInjection() { ::unsetenv("ANACIN_INJECT_FAILURES"); }
-};
+/// Injected failures: the Supervisor inside run_campaign runs the
+/// installed fault plan's attempt hooks.
+using ScopedInjection = support::ScopedFaultPlan;
 
 ResilienceOptions no_backoff(bool keep_going, int max_retries = 0) {
   ResilienceOptions resilience;
@@ -150,7 +145,7 @@ ResilienceOptions no_backoff(bool keep_going, int max_retries = 0) {
 }
 
 TEST(CampaignResilience, FailFastAbortsOnPermanentFailure) {
-  const ScopedInjection inject("run:2=permanent");
+  const ScopedInjection inject("unit.run:2=permanent");
   ThreadPool pool(2);
   EXPECT_THROW(run_campaign(small_campaign(1.0), pool, nullptr,
                             no_backoff(/*keep_going=*/false)),
@@ -158,7 +153,7 @@ TEST(CampaignResilience, FailFastAbortsOnPermanentFailure) {
 }
 
 TEST(CampaignResilience, KeepGoingQuarantinesExactlyTheFailingRun) {
-  const ScopedInjection inject("run:2=permanent");
+  const ScopedInjection inject("unit.run:2=permanent");
   ThreadPool pool(2);
   const CampaignResult result = run_campaign(
       small_campaign(1.0), pool, nullptr, no_backoff(/*keep_going=*/true));
@@ -174,7 +169,7 @@ TEST(CampaignResilience, KeepGoingQuarantinesExactlyTheFailingRun) {
 }
 
 TEST(CampaignResilience, TransientFailuresRetryToSuccess) {
-  const ScopedInjection inject("run:1=transient:2");
+  const ScopedInjection inject("unit.run:1=transient:2");
   ThreadPool pool(2);
   const CampaignResult result =
       run_campaign(small_campaign(1.0), pool, nullptr,
@@ -187,7 +182,8 @@ TEST(CampaignResilience, TransientFailuresRetryToSuccess) {
 TEST(CampaignResilience, RetriedCampaignMatchesUnfailedCampaign) {
   ThreadPool pool(2);
   const CampaignResult clean = run_campaign(small_campaign(1.0), pool);
-  const ScopedInjection inject("run:0=transient:1,run:3=transient:2");
+  const ScopedInjection inject(
+      "unit.run:0=transient:1,unit.run:3=transient:2");
   const CampaignResult retried =
       run_campaign(small_campaign(1.0), pool, nullptr,
                    no_backoff(/*keep_going=*/false, /*max_retries=*/2));
@@ -204,7 +200,7 @@ TEST(CampaignResilience, RetriedCampaignMatchesUnfailedCampaign) {
 
 TEST(CampaignResilience, AllRunsQuarantinedIsFatalEvenWithKeepGoing) {
   const ScopedInjection inject(
-      "run:0=permanent,run:1=permanent,run:2=permanent");
+      "unit.run:0=permanent,unit.run:1=permanent,unit.run:2=permanent");
   ThreadPool pool(2);
   EXPECT_THROW(run_campaign(small_campaign(1.0, /*runs=*/3), pool, nullptr,
                             no_backoff(/*keep_going=*/true)),
@@ -212,7 +208,7 @@ TEST(CampaignResilience, AllRunsQuarantinedIsFatalEvenWithKeepGoing) {
 }
 
 TEST(CampaignResilience, ReferenceFailureIsFatalEvenWithKeepGoing) {
-  const ScopedInjection inject("reference=permanent");
+  const ScopedInjection inject("unit.reference=permanent");
   ThreadPool pool(2);
   EXPECT_THROW(run_campaign(small_campaign(1.0), pool, nullptr,
                             no_backoff(/*keep_going=*/true)),
@@ -230,7 +226,7 @@ TEST(CampaignResilience, CancelledTokenInterrupts) {
 }
 
 TEST(CampaignResilience, QuarantineIsSurfacedInJson) {
-  const ScopedInjection inject("run:4=permanent");
+  const ScopedInjection inject("unit.run:4=permanent");
   ThreadPool pool(2);
   const CampaignResult result = run_campaign(
       small_campaign(1.0), pool, nullptr, no_backoff(/*keep_going=*/true));

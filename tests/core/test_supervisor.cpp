@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/fault_plan.hpp"
 
 namespace anacin::core {
 namespace {
@@ -22,7 +25,7 @@ RetryPolicy fast_policy(int max_retries, double deadline_ms = 0.0) {
 }
 
 TEST(Supervisor, SuccessFirstAttempt) {
-  const Supervisor supervisor(fast_policy(3), 1, FailureInjector{});
+  const Supervisor supervisor(fast_policy(3), 1);
   int calls = 0;
   const UnitReport report = supervisor.run("run:0", [&] { ++calls; });
   EXPECT_TRUE(report.ok);
@@ -33,7 +36,7 @@ TEST(Supervisor, SuccessFirstAttempt) {
 }
 
 TEST(Supervisor, TransientFailureRetriesUntilSuccess) {
-  const Supervisor supervisor(fast_policy(3), 1, FailureInjector{});
+  const Supervisor supervisor(fast_policy(3), 1);
   int calls = 0;
   const UnitReport report = supervisor.run("run:0", [&] {
     if (++calls < 3) throw TransientError("flaky");
@@ -45,7 +48,7 @@ TEST(Supervisor, TransientFailureRetriesUntilSuccess) {
 }
 
 TEST(Supervisor, TransientFailureExhaustsRetries) {
-  const Supervisor supervisor(fast_policy(2), 1, FailureInjector{});
+  const Supervisor supervisor(fast_policy(2), 1);
   int calls = 0;
   const UnitReport report =
       supervisor.run("run:0", [&] { ++calls; throw TransientError("flaky"); });
@@ -57,7 +60,7 @@ TEST(Supervisor, TransientFailureExhaustsRetries) {
 }
 
 TEST(Supervisor, PermanentFailureNeverRetries) {
-  const Supervisor supervisor(fast_policy(5), 1, FailureInjector{});
+  const Supervisor supervisor(fast_policy(5), 1);
   int calls = 0;
   const UnitReport report = supervisor.run(
       "run:0", [&] { ++calls; throw PermanentError("broken"); });
@@ -69,7 +72,7 @@ TEST(Supervisor, PermanentFailureNeverRetries) {
 }
 
 TEST(Supervisor, UntypedExceptionIsPermanent) {
-  const Supervisor supervisor(fast_policy(5), 1, FailureInjector{});
+  const Supervisor supervisor(fast_policy(5), 1);
   const UnitReport report =
       supervisor.run("run:0", [] { throw std::runtime_error("surprise"); });
   EXPECT_FALSE(report.ok);
@@ -78,11 +81,13 @@ TEST(Supervisor, UntypedExceptionIsPermanent) {
 }
 
 TEST(Supervisor, DeadlineExceededIsTransientAndRetries) {
-  // 1 ms deadline; injected 20 ms hang makes every attempt blow it.
-  const Supervisor supervisor(fast_policy(1, /*deadline_ms=*/1.0), 1,
-                              FailureInjector("slow=hang:20"));
+  // 1 ms deadline; a 20 ms body makes every attempt blow it.
+  const Supervisor supervisor(fast_policy(1, /*deadline_ms=*/1.0), 1);
   int calls = 0;
-  const UnitReport report = supervisor.run("slow", [&] { ++calls; });
+  const UnitReport report = supervisor.run("slow", [&] {
+    ++calls;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  });
   EXPECT_FALSE(report.ok);
   EXPECT_TRUE(report.transient);
   EXPECT_EQ(report.attempts, 2);
@@ -91,15 +96,17 @@ TEST(Supervisor, DeadlineExceededIsTransientAndRetries) {
 }
 
 TEST(Supervisor, DeadlineNotTriggeredByFastWork) {
-  const Supervisor supervisor(fast_policy(0, /*deadline_ms=*/5000.0), 1,
-                              FailureInjector{});
+  const Supervisor supervisor(fast_policy(0, /*deadline_ms=*/5000.0), 1);
   const UnitReport report = supervisor.run("fast", [] {});
   EXPECT_TRUE(report.ok);
 }
 
+// The fault plan's unit domain: attempt hooks run inside Supervisor::run,
+// body hooks wherever the unit executes.
+
 TEST(FailureInjector, TransientSpecFailsFirstNAttempts) {
-  const Supervisor supervisor(fast_policy(5), 1,
-                              FailureInjector("run:2=transient:3"));
+  const support::ScopedFaultPlan plan("unit.run:2=transient:3");
+  const Supervisor supervisor(fast_policy(5), 1);
   int calls = 0;
   const UnitReport report = supervisor.run("run:2", [&] { ++calls; });
   EXPECT_TRUE(report.ok);
@@ -109,8 +116,8 @@ TEST(FailureInjector, TransientSpecFailsFirstNAttempts) {
 }
 
 TEST(FailureInjector, OnlyNamedUnitIsAffected) {
-  const Supervisor supervisor(fast_policy(0), 1,
-                              FailureInjector("run:7=permanent"));
+  const support::ScopedFaultPlan plan("unit.run:7=permanent");
+  const Supervisor supervisor(fast_policy(0), 1);
   EXPECT_TRUE(supervisor.run("run:6", [] {}).ok);
   EXPECT_FALSE(supervisor.run("run:7", [] {}).ok);
 }
@@ -119,48 +126,73 @@ TEST(FailureInjector, WildcardMatchesAnyUnitWithoutExactEntry) {
   // "*" hits whatever unit comes along — how tests fell a fleet agent on
   // its first unit when unit placement is racy — while an exact entry
   // still wins over the wildcard.
-  const Supervisor supervisor(
-      fast_policy(0), 1, FailureInjector("*=permanent,run:3=transient:0"));
+  const support::ScopedFaultPlan plan(
+      "unit.*=permanent,unit.run:3=transient:0");
+  const Supervisor supervisor(fast_policy(0), 1);
   EXPECT_FALSE(supervisor.run("run:1", [] {}).ok);
   EXPECT_FALSE(supervisor.run("reference", [] {}).ok);
   EXPECT_TRUE(supervisor.run("run:3", [] {}).ok);
 }
 
 TEST(FailureInjector, MalformedSpecsThrowConfigError) {
-  EXPECT_THROW(FailureInjector("nonsense"), ConfigError);
-  EXPECT_THROW(FailureInjector("u=explode"), ConfigError);
-  EXPECT_THROW(FailureInjector("u=transient:abc"), ConfigError);
-  EXPECT_THROW(FailureInjector("u=hang:-5"), ConfigError);
+  using support::FaultPlan;
+  EXPECT_THROW(FaultPlan::parse("unit.nonsense"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("unit.u=explode"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("unit.u=transient:abc"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("unit.u=sleep:-5"), ConfigError);
 }
 
 TEST(FailureInjector, EmptySpecInjectsNothing) {
-  EXPECT_TRUE(FailureInjector{}.empty());
-  EXPECT_TRUE(FailureInjector("").empty());
-  EXPECT_FALSE(FailureInjector("u=permanent").empty());
+  using support::FaultPlan;
+  EXPECT_TRUE(FaultPlan{}.units.empty());
+  EXPECT_TRUE(FaultPlan::parse("").units.empty());
+  EXPECT_FALSE(FaultPlan::parse("unit.u=permanent").units.empty());
+  // No plan installed: every hook is inert.
+  support::install_fault_plan(std::nullopt);
+  support::faults::on_attempt("u", 1);
+  support::faults::on_unit_body("u");
 }
 
 TEST(FailureInjector, CrashSpecParsesSignalNames) {
-  EXPECT_FALSE(FailureInjector("", "run:1=SEGV").empty());
-  EXPECT_FALSE(FailureInjector("", "run:1=KILL,run:2=XCPU").empty());
-  EXPECT_THROW(FailureInjector("", "run:1=NOTASIGNAL"), ConfigError);
-  EXPECT_THROW(FailureInjector("", "run:1"), ConfigError);
+  using support::FaultPlan;
+  EXPECT_EQ(FaultPlan::parse("unit.run:1=crash:SEGV").units.at("run:1")
+                .crash_signal,
+            SIGSEGV);
+  const FaultPlan two = FaultPlan::parse("unit.run:1=crash:KILL,"
+                                         "unit.run:2=crash:sigxcpu");
+  EXPECT_EQ(two.units.at("run:1").crash_signal, SIGKILL);
+  EXPECT_EQ(two.units.at("run:2").crash_signal, SIGXCPU);
+  EXPECT_THROW(FaultPlan::parse("unit.run:1=crash:NOTASIGNAL"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("unit.run:1=crash"), ConfigError);
 }
 
 TEST(FailureInjector, HangSpecParsesSleepAndStop) {
-  EXPECT_FALSE(FailureInjector("", "", "run:2=500").empty());
-  EXPECT_FALSE(FailureInjector("", "", "run:2=stop").empty());
-  EXPECT_THROW(FailureInjector("", "", "run:2=-5"), ConfigError);
-  EXPECT_THROW(FailureInjector("", "", "run:2=abc"), ConfigError);
+  using support::FaultPlan;
+  EXPECT_EQ(FaultPlan::parse("unit.run:2=sleep:500").units.at("run:2")
+                .sleep_ms,
+            500.0);
+  EXPECT_TRUE(FaultPlan::parse("unit.run:2=stop").units.at("run:2").stop);
+  EXPECT_THROW(FaultPlan::parse("unit.run:2=sleep:-5"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("unit.run:2=sleep:abc"), ConfigError);
 }
 
 TEST(FailureInjector, ExecutionHooksIgnoreOtherUnits) {
   // Hooks for run:9 must be inert for every other unit — and a sleep hook
   // applied in-process returns normally (the crash hooks are exercised in
   // worker children by the proc/ tests; raising here would kill the test).
-  const FailureInjector injector("", "", "run:9=1");
-  injector.apply_execution_hooks("run:0");
-  injector.apply_execution_hooks("reference");
-  injector.apply_execution_hooks("run:9");
+  const support::ScopedFaultPlan plan(
+      "unit.run:9=sleep:1,unit.run:8=crash:KILL");
+  const auto sleeps = [] {
+    const auto counters = support::faults::counters();
+    const auto it = counters.find("faults.unit.sleep");
+    return it == counters.end() ? 0 : it->second;
+  };
+  const std::uint64_t before = sleeps();
+  support::faults::on_unit_body("run:0");
+  support::faults::on_unit_body("reference");
+  EXPECT_EQ(sleeps(), before);
+  support::faults::on_unit_body("run:9");
+  EXPECT_EQ(sleeps(), before + 1);
 }
 
 TEST(Supervisor, RetryScheduleIsDeterministic) {
@@ -168,8 +200,9 @@ TEST(Supervisor, RetryScheduleIsDeterministic) {
   // retry totals across repeated executions (the acceptance criterion for
   // reproducible retried campaigns).
   const auto run_campaign_like = [] {
-    const Supervisor supervisor(fast_policy(4), 42,
-                                FailureInjector("a=transient:2,b=transient:1"));
+    const support::ScopedFaultPlan plan(
+        "unit.a=transient:2,unit.b=transient:1");
+    const Supervisor supervisor(fast_policy(4), 42);
     std::vector<int> attempts;
     for (const std::string unit : {"a", "b", "c"}) {
       attempts.push_back(supervisor.run(unit, [] {}).attempts);
@@ -181,7 +214,7 @@ TEST(Supervisor, RetryScheduleIsDeterministic) {
 }
 
 TEST(Supervisor, ConcurrentRunsAreSafe) {
-  const Supervisor supervisor(fast_policy(1), 1, FailureInjector{});
+  const Supervisor supervisor(fast_policy(1), 1);
   std::atomic<int> ok{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {

@@ -58,20 +58,22 @@ protected:
     fs::create_directories(dir_);
   }
   void TearDown() override {
-    ::unsetenv("ANACIN_FAIL_WRITE_AFTER");
     std::error_code ec;
     fs::remove_all(dir_, ec);
   }
 
   /// A deliberately small sweep (2 ND points, 1 run each) so the explorer
   /// can afford to crash it once per durable commit. `globals` are CLI
-  /// flags before the subcommand (--store, --io-chaos, --durability, ...).
+  /// flags before the subcommand (--store, --durability, ...); `plan` is
+  /// the process's ANACIN_FAULT_PLAN.
   std::string sweep_command(const fs::path& workdir,
                             const std::string& globals,
                             const std::string& tag,
-                            const std::string& extra) const {
+                            const std::string& extra,
+                            const std::string& plan = "") const {
     const fs::path bin(ANACIN_CLI_PATH);
     std::ostringstream os;
+    if (!plan.empty()) os << "ANACIN_FAULT_PLAN='" << plan << "' ";
     os << '"' << bin.string() << '"' << ' ' << globals
        << " sweep --pattern message_race --ranks 4 --runs 1 --step 100"
        << " --seed 7 --journal " << (workdir / "sweep.jsonl").string()
@@ -117,9 +119,8 @@ TEST_F(DurabilityE2e, CrashExplorerResumesByteIdenticallyAtEveryCrashPoint) {
     fs::create_directories(crash);
     const std::string store_flag = "--store " + (crash / "store").string();
     EXPECT_EQ(run_command(sweep_command(
-                  crash,
-                  store_flag + " --io-chaos crash_after=" + std::to_string(k),
-                  "crash", "")),
+                  crash, store_flag, "crash", "",
+                  "disk.crash_after=" + std::to_string(k))),
               128 + SIGKILL)
         << "crash point " << k << ": " << slurp(crash / "crash.out");
     ASSERT_EQ(
@@ -146,16 +147,18 @@ TEST_F(DurabilityE2e, EnospcOnStoreDegradesInsteadOfFailing) {
   // with --no-store semantics, warn once, and record the degradation.
   ASSERT_EQ(run_command(sweep_command(
                 full,
-                "--store " + (full / "store").string() +
-                    " --io-chaos enospc=1.0,scope=store --metrics-out " +
+                "--store " + (full / "store").string() + " --metrics-out " +
                     (full / "metrics.json").string(),
-                "full", "")),
+                "full", "", "disk.enospc=1.0,disk.scope=store")),
             0)
       << slurp(full / "full.out");
   EXPECT_NE(slurp(full / "full.out").find("artifact store degraded"),
             std::string::npos)
       << slurp(full / "full.out");
   EXPECT_EQ(counter_value(metrics(full / "metrics.json"), "store.degraded"),
+            1.0);
+  EXPECT_GE(counter_value(metrics(full / "metrics.json"),
+                          "faults.disk.enospc"),
             1.0);
   EXPECT_NE(slurp(full / "out.json").find("\"store_degraded\": true"),
             std::string::npos);
@@ -170,10 +173,8 @@ TEST_F(DurabilityE2e, JournalWriteFailureStaysFailFast) {
   // A journal that cannot commit must abort loudly: a sweep that silently
   // loses its resume log would masquerade as durable.
   EXPECT_EQ(run_command(sweep_command(
-                work,
-                "--store " + (work / "store").string() +
-                    " --io-chaos enospc=1.0,scope=journal",
-                "journal", "")),
+                work, "--store " + (work / "store").string(), "journal", "",
+                "disk.enospc=1.0,disk.scope=journal")),
             1);
   EXPECT_NE(slurp(work / "journal.out").find("injected ENOSPC"),
             std::string::npos)
@@ -202,28 +203,6 @@ TEST_F(DurabilityE2e, CommitDurabilityChangesBytesOnDiskNotResults) {
   EXPECT_GT(counter_value(metrics(commit / "metrics.json"),
                           "io.durable_ops"),
             0.0);
-}
-
-TEST_F(DurabilityE2e, FailWriteAfterAliasStillInjectsAndParsesStrictly) {
-  const fs::path work = dir_ / "compat";
-  fs::create_directories(work);
-  const std::string store_flag = "--store " + (work / "store").string();
-
-  // The historical hook still works, now riding on the chaos engine: the
-  // very first atomic file write (the journal header) fails as ENOSPC.
-  ::setenv("ANACIN_FAIL_WRITE_AFTER", "0", 1);
-  EXPECT_EQ(run_command(sweep_command(work, store_flag, "compat", "")), 1);
-  EXPECT_NE(slurp(work / "compat.out").find("ENOSPC"), std::string::npos)
-      << slurp(work / "compat.out");
-
-  // Strict parsing: garbage refuses to run instead of silently meaning
-  // "never fail" (the old std::strtoll behavior).
-  ::setenv("ANACIN_FAIL_WRITE_AFTER", "12abc", 1);
-  EXPECT_EQ(run_command(sweep_command(work, store_flag, "strict", "")), 1);
-  EXPECT_NE(slurp(work / "strict.out").find("ANACIN_FAIL_WRITE_AFTER"),
-            std::string::npos)
-      << slurp(work / "strict.out");
-  ::unsetenv("ANACIN_FAIL_WRITE_AFTER");
 }
 
 }  // namespace

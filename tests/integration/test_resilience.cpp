@@ -55,7 +55,7 @@ protected:
     fs::create_directories(dir_);
   }
   void TearDown() override {
-    ::unsetenv("ANACIN_CRASH_AFTER_POINTS");
+    ::unsetenv("ANACIN_FAULT_PLAN");
     std::error_code ec;
     fs::remove_all(dir_, ec);
   }
@@ -95,11 +95,13 @@ TEST_F(ResilienceE2e, SigkilledSweepResumesByteIdentically) {
   ASSERT_FALSE(base_json.empty());
 
   // Crash run: the process SIGKILLs itself right after journaling the
-  // first point — exactly what a node failure mid-sweep looks like.
-  ::setenv("ANACIN_CRASH_AFTER_POINTS", "1", 1);
+  // first point — exactly what a node failure mid-sweep looks like. The
+  // journal commits once per fresh point, and nothing else writes
+  // journal-class files.
+  ::setenv("ANACIN_FAULT_PLAN", "disk.crash_after=1,disk.scope=journal", 1);
   EXPECT_EQ(run_command(sweep_command("store-b", "b.jsonl", "crash", "")),
             128 + SIGKILL);
-  ::unsetenv("ANACIN_CRASH_AFTER_POINTS");
+  ::unsetenv("ANACIN_FAULT_PLAN");
   ASSERT_TRUE(fs::exists(dir_ / "b.jsonl")) << "crash before any journaling";
 
   // Resume: replays the journaled point, computes the rest.
@@ -162,15 +164,15 @@ TEST_F(ResilienceE2e, SigtermDrainsJournalsAndExits143) {
   ASSERT_EQ(run_command(sweep_command("store-t", "tb.jsonl", "tbase", "")), 0)
       << slurp(dir_ / "tbase.out");
 
-  // An injected 4 s hang on run:1 keeps the first point busy long enough
+  // An injected 4 s sleep in run:1 keeps the first point busy long enough
   // for `timeout` to deliver SIGTERM at the 1 s mark. The process must
   // drain in-flight work, journal, and exit 143 — the same graceful path
   // as SIGINT, just with the distinct "terminated" exit code.
-  ::setenv("ANACIN_INJECT_FAILURES", "run:1=hang:4000", 1);
+  ::setenv("ANACIN_FAULT_PLAN", "unit.run:1=sleep:4000", 1);
   EXPECT_EQ(run_command("timeout --preserve-status -s TERM 1 " +
                         sweep_command("store-t", "t.jsonl", "term", "")),
             143);
-  ::unsetenv("ANACIN_INJECT_FAILURES");
+  ::unsetenv("ANACIN_FAULT_PLAN");
   EXPECT_NE(slurp(dir_ / "term.out").find("rerun with --resume"),
             std::string::npos)
       << slurp(dir_ / "term.out");
@@ -190,19 +192,22 @@ TEST_F(ResilienceE2e, ChildExitCodesMatchTaxonomy) {
   const std::string store = " --store " + (dir_ / "store-x").string();
   // Unknown command: 64 (EX_USAGE), reserved so 2 still means "partial".
   EXPECT_EQ(run_command(bin + " frobnicate > /dev/null 2>&1"), 64);
-  // Keep-going quarantine: 2.
-  ::setenv("ANACIN_INJECT_FAILURES", "run:1=permanent", 1);
+  // Keep-going quarantine: 2, naming exactly the failed unit.
+  ::setenv("ANACIN_FAULT_PLAN", "unit.run:1=permanent", 1);
+  const fs::path keep_going = dir_ / "keep_going.out";
   EXPECT_EQ(run_command(bin + store +
                         " measure --pattern message_race --ranks 4 "
-                        "--runs 3 --keep-going --backoff-us 0 "
-                        "> /dev/null 2>&1"),
+                        "--runs 3 --keep-going --backoff-us 0 > " +
+                        keep_going.string() + " 2>&1"),
             2);
+  EXPECT_NE(slurp(keep_going).find("quarantined run:1"), std::string::npos)
+      << slurp(keep_going);
   // Fail-fast: 1.
   EXPECT_EQ(run_command(bin + store +
                         " measure --pattern message_race --ranks 4 "
                         "--runs 3 --backoff-us 0 > /dev/null 2>&1"),
             1);
-  ::unsetenv("ANACIN_INJECT_FAILURES");
+  ::unsetenv("ANACIN_FAULT_PLAN");
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// Tests for the deterministic network fault injector (net/chaos.hpp):
-// spec parsing, and each fault knob driven at probability 1.0 through a
+// Tests for the fault plan's net domain (net/chaos.hpp's FaultyConnection):
+// the net.* keys, and each fault knob driven at probability 1.0 through a
 // real loopback socket pair so the receiver-visible effect is asserted
-// (kCorrupt, silence, EOF, swapped order), plus a seeded fuzz proving an
-// all-zero chaos config is byte-transparent. Also the socket-boundary
-// malformed-input cases (torn frame mid-payload, oversized length,
-// unknown type byte) and the EINTR regression: poll-based waits must
-// retry interrupted syscalls against their original deadline.
+// (kCorrupt, silence, EOF, swapped order), plus a seeded fuzz proving a
+// plan with every net probability at zero is byte-transparent. Also the
+// socket-boundary malformed-input cases (torn frame mid-payload, oversized
+// length, unknown type byte) and the EINTR regression: poll-based waits
+// must retry interrupted syscalls against their original deadline.
 
 #include "net/chaos.hpp"
 
@@ -25,6 +25,7 @@
 
 #include "net/socket.hpp"
 #include "support/error.hpp"
+#include "support/fault_plan.hpp"
 
 namespace anacin::net {
 namespace {
@@ -52,62 +53,73 @@ struct SocketPair {
   }
 };
 
-ChaosConfig only(double ChaosConfig::* knob, double value) {
-  ChaosConfig config;
-  config.seed = 7;
-  config.*knob = value;
-  return config;
+using support::FaultPlan;
+
+/// A seed-7 plan with one net knob set.
+FaultPlan only(double FaultPlan::Net::* knob, double value) {
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.net.*knob = value;
+  return plan;
 }
 
-// --- ChaosConfig parsing ----------------------------------------------
+// --- The net.* keys of the fault plan ---------------------------------
 
 TEST(ChaosConfig, ParsesFullSpec) {
-  const ChaosConfig config = ChaosConfig::parse(
-      "seed=42, drop=0.05, corrupt=0.02, reorder=0.1, reset=0.01, "
-      "delay=0.2, delay_ms=15, partition=0.005, partition_ms=250");
-  EXPECT_EQ(config.seed, 42u);
-  EXPECT_DOUBLE_EQ(config.drop, 0.05);
-  EXPECT_DOUBLE_EQ(config.corrupt, 0.02);
-  EXPECT_DOUBLE_EQ(config.reorder, 0.1);
-  EXPECT_DOUBLE_EQ(config.reset, 0.01);
-  EXPECT_DOUBLE_EQ(config.delay, 0.2);
-  EXPECT_DOUBLE_EQ(config.delay_ms, 15.0);
-  EXPECT_DOUBLE_EQ(config.partition, 0.005);
-  EXPECT_DOUBLE_EQ(config.partition_ms, 250.0);
-  EXPECT_TRUE(config.enabled());
+  const FaultPlan plan = FaultPlan::parse(
+      "seed=42, net.drop=0.05, net.corrupt=0.02, net.reorder=0.1, "
+      "net.reset=0.01, net.delay=0.2, net.delay_ms=15, net.partition=0.005, "
+      "net.partition_ms=250");
+  EXPECT_EQ(plan.seed, 42u);
+  EXPECT_DOUBLE_EQ(plan.net.drop, 0.05);
+  EXPECT_DOUBLE_EQ(plan.net.corrupt, 0.02);
+  EXPECT_DOUBLE_EQ(plan.net.reorder, 0.1);
+  EXPECT_DOUBLE_EQ(plan.net.reset, 0.01);
+  EXPECT_DOUBLE_EQ(plan.net.delay, 0.2);
+  EXPECT_DOUBLE_EQ(plan.net.delay_ms, 15.0);
+  EXPECT_DOUBLE_EQ(plan.net.partition, 0.005);
+  EXPECT_DOUBLE_EQ(plan.net.partition_ms, 250.0);
+  EXPECT_TRUE(plan.net.enabled());
 }
 
 TEST(ChaosConfig, SeedAloneIsInert) {
-  const ChaosConfig config = ChaosConfig::parse("seed=9");
-  EXPECT_FALSE(config.enabled());
+  EXPECT_FALSE(FaultPlan::parse("seed=9").net.enabled());
+  // Disk faults alone leave the wire clean too.
+  EXPECT_FALSE(FaultPlan::parse("seed=9,disk.enospc=1").net.enabled());
 }
 
 TEST(ChaosConfig, RejectsUnknownKeysAndBadValues) {
-  EXPECT_THROW(ChaosConfig::parse("dorp=0.1"), ConfigError);
-  EXPECT_THROW(ChaosConfig::parse("drop=1.5"), ConfigError);
-  EXPECT_THROW(ChaosConfig::parse("drop=-0.1"), ConfigError);
-  EXPECT_THROW(ChaosConfig::parse("drop=lots"), ConfigError);
-  EXPECT_THROW(ChaosConfig::parse("drop"), ConfigError);
-  EXPECT_THROW(ChaosConfig::parse("delay_ms=-5"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("net.dorp=0.1"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("net.drop=1.5"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("net.drop=-0.1"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("net.drop=lots"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("net.drop"), ConfigError);
+  EXPECT_THROW(FaultPlan::parse("net.delay_ms=-5"), ConfigError);
 }
 
 TEST(ChaosConfig, FromEnvReadsSpec) {
-  ::setenv("ANACIN_NET_CHAOS", "seed=3,drop=0.25", 1);
-  const auto config = ChaosConfig::from_env();
-  ::unsetenv("ANACIN_NET_CHAOS");
-  ASSERT_TRUE(config.has_value());
-  EXPECT_EQ(config->seed, 3u);
-  EXPECT_DOUBLE_EQ(config->drop, 0.25);
-  EXPECT_FALSE(ChaosConfig::from_env().has_value());
+  ::setenv("ANACIN_FAULT_PLAN", "seed=3,net.drop=0.25", 1);
+  const auto plan = FaultPlan::from_env();
+  ::unsetenv("ANACIN_FAULT_PLAN");
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->seed, 3u);
+  EXPECT_DOUBLE_EQ(plan->net.drop, 0.25);
+  EXPECT_FALSE(FaultPlan::from_env().has_value());
 }
 
 TEST(ChaosConfig, MaybeWrapLeavesInertConfigsUnwrapped) {
   SocketPair pair;
   Connection* raw = pair.a.get();
   std::unique_ptr<Connection> conn = std::move(pair.a);
-  conn = maybe_wrap_chaos(std::move(conn), ChaosConfig{});
+  conn = maybe_wrap_faults(std::move(conn));  // no plan installed
   EXPECT_EQ(conn.get(), raw);  // pass-through, no decorator
-  conn = maybe_wrap_chaos(std::move(conn), only(&ChaosConfig::drop, 0.5));
+  {
+    const support::ScopedFaultPlan disk_only("disk.enospc=1");
+    conn = maybe_wrap_faults(std::move(conn));
+    EXPECT_EQ(conn.get(), raw);
+  }
+  const support::ScopedFaultPlan plan("seed=7,net.drop=0.5");
+  conn = maybe_wrap_faults(std::move(conn));
   EXPECT_NE(conn.get(), raw);
 }
 
@@ -119,7 +131,7 @@ TEST(ChaosConfig, MaybeWrapLeavesInertConfigsUnwrapped) {
 // chaos is configured.
 TEST(FaultyConnection, ZeroProbabilityConfigIsTransparent) {
   SocketPair pair;
-  ChaosConfig inert;
+  FaultPlan inert;
   inert.seed = 1234;
   FaultyConnection chaotic(std::move(pair.a), inert);
 
@@ -146,7 +158,8 @@ TEST(FaultyConnection, ZeroProbabilityConfigIsTransparent) {
 // torn stream.
 TEST(FaultyConnection, CorruptionSurfacesAsTypedCorruptFrames) {
   SocketPair pair;
-  FaultyConnection chaotic(std::move(pair.a), only(&ChaosConfig::corrupt, 1.0));
+  FaultyConnection chaotic(std::move(pair.a),
+                           only(&FaultPlan::Net::corrupt, 1.0));
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(chaotic.send_frame(proc::FrameType::kResult, "payload"));
     const proc::ReadResult got = pair.b->recv_frame(5000);
@@ -162,7 +175,8 @@ TEST(FaultyConnection, CorruptionSurfacesAsTypedCorruptFrames) {
 // drop=1.0: sends report success, nothing reaches the peer.
 TEST(FaultyConnection, DropsVanishSilently) {
   SocketPair pair;
-  FaultyConnection chaotic(std::move(pair.a), only(&ChaosConfig::drop, 1.0));
+  FaultyConnection chaotic(std::move(pair.a),
+                           only(&FaultPlan::Net::drop, 1.0));
   ASSERT_TRUE(chaotic.send_frame(proc::FrameType::kHeartbeat, {}));
   ASSERT_TRUE(chaotic.send_frame(proc::FrameType::kResult, "gone"));
   const proc::ReadResult got = pair.b->recv_frame(100);
@@ -174,7 +188,8 @@ TEST(FaultyConnection, DropsVanishSilently) {
 // death, which is what the session-resume machinery trains against.
 TEST(FaultyConnection, ResetTearsDownTheConnection) {
   SocketPair pair;
-  FaultyConnection chaotic(std::move(pair.a), only(&ChaosConfig::reset, 1.0));
+  FaultyConnection chaotic(std::move(pair.a),
+                           only(&FaultPlan::Net::reset, 1.0));
   EXPECT_FALSE(chaotic.send_frame(proc::FrameType::kResult, "doomed"));
   EXPECT_FALSE(chaotic.valid());
   const proc::ReadResult got = pair.b->recv_frame(5000);
@@ -187,7 +202,7 @@ TEST(FaultyConnection, ResetTearsDownTheConnection) {
 TEST(FaultyConnection, ReorderSwapsAdjacentFramesAndFlushesOnClose) {
   SocketPair pair;
   FaultyConnection chaotic(std::move(pair.a),
-                           only(&ChaosConfig::reorder, 1.0));
+                           only(&FaultPlan::Net::reorder, 1.0));
   ASSERT_TRUE(chaotic.send_frame(proc::FrameType::kResult, "first"));
   ASSERT_TRUE(chaotic.send_frame(proc::FrameType::kResult, "second"));
   proc::ReadResult got = pair.b->recv_frame(5000);
@@ -210,7 +225,7 @@ TEST(FaultyConnection, ReorderSwapsAdjacentFramesAndFlushesOnClose) {
 TEST(FaultyConnection, RecvFlushesHeldFrame) {
   SocketPair pair;
   FaultyConnection chaotic(std::move(pair.a),
-                           only(&ChaosConfig::reorder, 1.0));
+                           only(&FaultPlan::Net::reorder, 1.0));
   ASSERT_TRUE(chaotic.send_frame(proc::FrameType::kFetch, "request"));
   std::thread peer([&] {
     const proc::ReadResult request = pair.b->recv_frame(5000);
@@ -228,9 +243,9 @@ TEST(FaultyConnection, RecvFlushesHeldFrame) {
 // then flow resumes.
 TEST(FaultyConnection, PartitionBlackholesOneDirectionForAWindow) {
   SocketPair pair;
-  ChaosConfig config = only(&ChaosConfig::partition, 1.0);
-  config.partition_ms = 150.0;
-  FaultyConnection chaotic(std::move(pair.a), config);
+  FaultPlan plan = only(&FaultPlan::Net::partition, 1.0);
+  plan.net.partition_ms = 150.0;
+  FaultyConnection chaotic(std::move(pair.a), plan);
   ASSERT_TRUE(chaotic.send_frame(proc::FrameType::kResult, "eaten"));
   EXPECT_EQ(pair.b->recv_frame(50).status, proc::ReadStatus::kTimeout);
   // The reverse direction stays up (one-way partition).

@@ -131,6 +131,18 @@ class DistributedE2e : public ::testing::Test {
     return json::parse(slurp(path(tag + "-metrics.json")));
   }
 
+  /// True when no process of this fixture's fleets is still alive: each
+  /// one names the fixture directory on its command line. (The bracketed
+  /// last character keeps pgrep's own shell from matching itself.)
+  bool no_fleet_process_left() const {
+    std::string pattern = dir_.string();
+    const char last = pattern.back();
+    pattern.back() = '[';
+    pattern += last;
+    pattern += ']';
+    return run_command("pgrep -f '" + pattern + "' > /dev/null") == 1;
+  }
+
   std::string debug_dump(const std::string& tag) const {
     return "serve:\n" + slurp(path(tag + ".out")) + "\nagent1:\n" +
            slurp(path(tag + "-a1.out")) + "\nagent2:\n" +
@@ -179,7 +191,7 @@ TEST_F(DistributedE2e, AgentKilledMidCampaignRequeuesToSurvivor) {
   // transient crash, re-queue the unit, and finish on the survivor.
   ASSERT_EQ(run_command(fleet_command("kill", "sched-store", "agent1-store",
                                       "agent2-store", "",
-                                      "ANACIN_INJECT_CRASH='*=KILL'",
+                                      "ANACIN_FAULT_PLAN='unit.*=crash:KILL'",
                                       "--unit-lease-ms 2000")),
             0)
       << debug_dump("kill");
@@ -195,6 +207,7 @@ TEST_F(DistributedE2e, AgentKilledMidCampaignRequeuesToSurvivor) {
   EXPECT_GE(counter_value(serve_metrics, "net.agent_disconnects"), 1.0);
   EXPECT_GE(counter_value(serve_metrics, "net.leases_expired"), 1.0);
   EXPECT_GE(counter_value(serve_metrics, "resilience.retries"), 1.0);
+  EXPECT_TRUE(no_fleet_process_left());
 }
 
 TEST_F(DistributedE2e, ChaosFleetMatchesLocalByteForByte) {
@@ -209,11 +222,11 @@ TEST_F(DistributedE2e, ChaosFleetMatchesLocalByteForByte) {
   // recovery path funnels through session resume + warm re-execution —
   // none of which may leave a fingerprint in the report.
   const std::string serve_chaos =
-      "ANACIN_NET_CHAOS='seed=7,corrupt=0.03,reorder=0.05,delay=0.3,"
-      "delay_ms=5'";
+      "ANACIN_FAULT_PLAN='seed=7,net.corrupt=0.03,net.reorder=0.05,"
+      "net.delay=0.3,net.delay_ms=5'";
   const std::string agent_chaos =
-      "ANACIN_NET_CHAOS='seed=1007,drop=0.02,corrupt=0.03,reorder=0.05,"
-      "delay=0.3,delay_ms=5'";
+      "ANACIN_FAULT_PLAN='seed=1007,net.drop=0.02,net.corrupt=0.03,"
+      "net.reorder=0.05,net.delay=0.3,net.delay_ms=5'";
   ASSERT_EQ(run_command(fleet_command(
                 "chaos", "sched-store", "agent1-store", "agent2-store",
                 serve_chaos, agent_chaos,
@@ -232,13 +245,13 @@ TEST_F(DistributedE2e, ChaosFleetMatchesLocalByteForByte) {
   const json::Value serve_metrics = metrics("chaos");
   const json::Value agent1_metrics = metrics("chaos-a1");
   const double faults_fired =
-      counter_value(serve_metrics, "net.chaos_corrupted") +
-      counter_value(serve_metrics, "net.chaos_reordered") +
-      counter_value(serve_metrics, "net.chaos_delayed") +
-      counter_value(agent1_metrics, "net.chaos_dropped") +
-      counter_value(agent1_metrics, "net.chaos_corrupted") +
-      counter_value(agent1_metrics, "net.chaos_reordered") +
-      counter_value(agent1_metrics, "net.chaos_delayed");
+      counter_value(serve_metrics, "faults.net.corrupt") +
+      counter_value(serve_metrics, "faults.net.reorder") +
+      counter_value(serve_metrics, "faults.net.delay") +
+      counter_value(agent1_metrics, "faults.net.drop") +
+      counter_value(agent1_metrics, "faults.net.corrupt") +
+      counter_value(agent1_metrics, "faults.net.reorder") +
+      counter_value(agent1_metrics, "faults.net.delay");
   EXPECT_GT(faults_fired, 0.0) << debug_dump("chaos");
 }
 
@@ -253,7 +266,7 @@ TEST_F(DistributedE2e, ConnectionResetsResumeSessionsInvisibly) {
   // byte. The shortened lease bounds how long a torn unit can dangle.
   ASSERT_EQ(run_command(fleet_command(
                 "reset", "sched-store", "agent1-store", "agent2-store",
-                "ANACIN_NET_CHAOS='seed=11,reset=0.25'", "",
+                "ANACIN_FAULT_PLAN='seed=11,net.reset=0.25'", "",
                 "--unit-lease-ms 5000 --agent-heartbeat-timeout-ms 1500")),
             0)
       << debug_dump("reset");
@@ -264,10 +277,11 @@ TEST_F(DistributedE2e, ConnectionResetsResumeSessionsInvisibly) {
   EXPECT_EQ(slurp(path("reset.csv")), slurp(path("local.csv")));
 
   const json::Value serve_metrics = metrics("reset");
-  EXPECT_GE(counter_value(serve_metrics, "net.chaos_resets"), 1.0);
+  EXPECT_GE(counter_value(serve_metrics, "faults.net.reset"), 1.0);
   EXPECT_GE(counter_value(serve_metrics, "net.sessions_resumed"), 1.0);
   // Resume — not expiry — is the recovery path for a live agent.
   EXPECT_GE(counter_value(serve_metrics, "net.redispatches"), 1.0);
+  EXPECT_TRUE(no_fleet_process_left());
 }
 
 TEST_F(DistributedE2e, WarmAgentsPublishWithoutSimulating) {
@@ -304,17 +318,20 @@ TEST_F(DistributedE2e, SchedulerCrashResumesAcrossFreshFleet) {
   ASSERT_EQ(run_command(local_command("local")), 0)
       << slurp(path("local.out"));
 
-  // The scheduler SIGKILLs itself after journaling the first sweep point;
-  // the orphaned agents see EOF and exit 0 — no strays.
+  // The scheduler SIGKILLs itself after journaling the first sweep point
+  // (the journal commits once per fresh point, and is the only
+  // journal-class writer); the orphaned agents see EOF and exit 0 — no
+  // strays.
   const std::string journal = " --journal " + path("serve.jsonl").string();
-  EXPECT_EQ(run_command(fleet_command("crash", "sched-store", "agent1-store",
-                                      "agent2-store",
-                                      "ANACIN_CRASH_AFTER_POINTS=1", "",
-                                      journal)),
+  EXPECT_EQ(run_command(fleet_command(
+                "crash", "sched-store", "agent1-store", "agent2-store",
+                "ANACIN_FAULT_PLAN=disk.crash_after=1,disk.scope=journal", "",
+                journal)),
             128 + SIGKILL)
       << debug_dump("crash");
   EXPECT_EQ(agent_exit("crash", 1), 0) << slurp(path("crash-a1.out"));
   EXPECT_EQ(agent_exit("crash", 2), 0) << slurp(path("crash-a2.out"));
+  EXPECT_TRUE(no_fleet_process_left());
   ASSERT_TRUE(fs::exists(path("serve.jsonl")));
 
   // Resume with a fresh fleet: the journal replays the finished point and

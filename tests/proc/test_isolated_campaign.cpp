@@ -110,8 +110,8 @@ TEST_F(IsolatedCampaignTest, CrashedAndHungUnitsAreQuarantinedWithTriage) {
   // run:1 dies by SIGKILL inside its child; run:2 hangs past the 1.5 s
   // watchdog deadline. Both must be quarantined — with a precise diagnosis
   // each — while the remaining units complete normally.
-  const EnvGuard crash("ANACIN_INJECT_CRASH", "run:1=KILL");
-  const EnvGuard hang("ANACIN_INJECT_HANG", "run:2=8000");
+  const EnvGuard plan("ANACIN_FAULT_PLAN",
+                      "unit.run:1=crash:KILL,unit.run:2=sleep:8000");
 
   ThreadPool pool(2);
   store::ArtifactStore store({dir_ / "store-c", 64 << 20});

@@ -33,9 +33,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Scoped environment variable: the injector env vars are snapshotted by
-/// each worker child at exec, so they must be set before the pool spawns
-/// and cleaned up even when an EXPECT fails.
+/// Scoped environment variable: each worker child reads ANACIN_FAULT_PLAN
+/// when it starts, so it must be set before the pool spawns and cleaned up
+/// even when an EXPECT fails.
 class EnvGuard {
  public:
   EnvGuard(const char* name, const std::string& value) : name_(name) {
@@ -134,7 +134,7 @@ TEST_F(WorkerPoolTest, UnknownUnitTypeIsAPermanentFailure) {
 }
 
 TEST_F(WorkerPoolTest, CrashTriageCarriesSignalAndPeakRss) {
-  const EnvGuard crash("ANACIN_INJECT_CRASH", "run:0=KILL");
+  const EnvGuard crash("ANACIN_FAULT_PLAN", "unit.run:0=crash:KILL");
   WorkerPool pool(pool_config());
   const core::CampaignConfig config = small_campaign();
   try {
@@ -151,7 +151,7 @@ TEST_F(WorkerPoolTest, CrashTriageCarriesSignalAndPeakRss) {
 TEST_F(WorkerPoolTest, RlimitBreachIsPermanentWithNoFutileRetries) {
   // SIGXCPU is what a real RLIMIT_CPU breach delivers; injecting it
   // exercises the same classification without burning CPU seconds.
-  const EnvGuard crash("ANACIN_INJECT_CRASH", "run:0=XCPU");
+  const EnvGuard crash("ANACIN_FAULT_PLAN", "unit.run:0=crash:XCPU");
   WorkerPool workers(pool_config());
   const core::CampaignConfig config = small_campaign();
   const json::Value request = run_request(config, 0);
@@ -159,7 +159,7 @@ TEST_F(WorkerPoolTest, RlimitBreachIsPermanentWithNoFutileRetries) {
   core::RetryPolicy policy;
   policy.max_retries = 3;
   policy.base_backoff_us = 0;
-  const core::Supervisor supervisor(policy, 1, core::FailureInjector{});
+  const core::Supervisor supervisor(policy, 1);
   int calls = 0;
   const core::UnitReport report = supervisor.run("run:0", [&] {
     ++calls;
@@ -177,7 +177,7 @@ TEST_F(WorkerPoolTest, RlimitBreachIsPermanentWithNoFutileRetries) {
 TEST_F(WorkerPoolTest, WatchdogKillsHungChildWithinTwiceTheDeadline) {
   // The unit sleeps 60 s (heartbeating all the while); only the
   // preemptive wall-clock deadline can stop it.
-  const EnvGuard hang("ANACIN_INJECT_HANG", "run:0=60000");
+  const EnvGuard hang("ANACIN_FAULT_PLAN", "unit.run:0=sleep:60000");
   WorkerPoolConfig config = pool_config();
   config.run_deadline_ms = 1000.0;
   WorkerPool pool(config);
@@ -204,7 +204,7 @@ TEST_F(WorkerPoolTest, WatchdogKillsHungChildWithinTwiceTheDeadline) {
 TEST_F(WorkerPoolTest, HeartbeatStallIsDetectedAndKilled) {
   // SIGSTOP freezes the child including its heartbeat thread, so only the
   // stall detector can catch it — there is no deadline in this config.
-  const EnvGuard hang("ANACIN_INJECT_HANG", "run:0=stop");
+  const EnvGuard hang("ANACIN_FAULT_PLAN", "unit.run:0=stop");
   WorkerPoolConfig config = pool_config();
   config.heartbeat_interval_ms = 20.0;
   config.heartbeat_timeout_ms = 750.0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -10,8 +13,8 @@
 #include "store/codec.hpp"
 #include "store/store.hpp"
 #include "support/error.hpp"
+#include "support/fault_plan.hpp"
 #include "support/fs.hpp"
-#include "support/io_chaos.hpp"
 
 namespace anacin::store {
 namespace {
@@ -253,16 +256,72 @@ TEST_F(ObjectStoreTest, GcEvictsDownToBudget) {
   EXPECT_EQ(store.stats().objects, 0u);
 }
 
-/// Disk-chaos tests: every one installs a process-global fault config, so
-/// SetUp/TearDown reset the engine to keep the plain tests deterministic.
+// Under --isolate=process sibling worker processes publish the same
+// objects at the same moment. Their temp files must never collide: a
+// shared temp name let one writer rename the other's bytes away, and the
+// loser's rename failed the unit permanently.
+TEST_F(ObjectStoreTest, ConcurrentProcessesPublishTheSameKeys) {
+  constexpr int kChildren = 4;
+  constexpr int kRounds = 4;
+  constexpr int kKeys = 24;
+  for (int round = 0; round < kRounds; ++round) {
+    int gate[2];
+    ASSERT_EQ(::pipe(gate), 0);
+    std::vector<pid_t> children;
+    for (int c = 0; c < kChildren; ++c) {
+      const pid_t pid = ::fork();
+      ASSERT_GE(pid, 0);
+      if (pid == 0) {
+        // Child: wait for the gate so every child publishes at once; any
+        // exception (or a put that never returns) is a non-zero exit.
+        ::close(gate[1]);
+        char byte = 0;
+        (void)::read(gate[0], &byte, 1);
+        try {
+          ObjectStore store({root_, 1 << 20});
+          for (int k = 0; k < kKeys; ++k) {
+            const std::vector<std::uint8_t> bytes =
+                artifact(round * 1000.0 + k);
+            store.put(digest_bytes(bytes.data(), bytes.size()),
+                      Kind::kDistances, bytes);
+          }
+        } catch (...) {
+          ::_exit(1);
+        }
+        ::_exit(0);
+      }
+      children.push_back(pid);
+    }
+    ::close(gate[0]);
+    ::close(gate[1]);  // open the gate
+    for (const pid_t pid : children) {
+      int status = 0;
+      ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+      EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+          << "round " << round << ": a publishing child failed";
+    }
+  }
+  ObjectStore store({root_, 1 << 20});
+  EXPECT_TRUE(store.verify().ok());
+  EXPECT_EQ(store.stats().objects,
+            static_cast<std::uint64_t>(kRounds * kKeys));
+  for (const auto& entry : fs::recursive_directory_iterator(root_)) {
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << entry.path();
+  }
+}
+
+/// Disk-fault tests: every one installs a process-global fault plan, so
+/// SetUp/TearDown clear it to keep the plain tests deterministic.
 class ObjectStoreChaosTest : public ObjectStoreTest {
  protected:
   void SetUp() override {
     ObjectStoreTest::SetUp();
-    support::io_chaos::reset_for_tests();
+    support::install_fault_plan(std::nullopt);
   }
   void TearDown() override {
-    support::io_chaos::reset_for_tests();
+    support::install_fault_plan(std::nullopt);
     ObjectStoreTest::TearDown();
   }
 
@@ -282,14 +341,14 @@ TEST_F(ObjectStoreChaosTest, PutUnderEnospcThrowsAndStoreStaysScannable) {
   const std::vector<std::uint8_t> bytes = artifact(1.0);
   const Digest key = digest_bytes(bytes.data(), bytes.size());
 
-  support::install_io_chaos(
-      support::IoChaosConfig::parse("enospc=1,scope=store"));
+  support::install_fault_plan(
+      support::FaultPlan::parse("disk.enospc=1,disk.scope=store"));
   EXPECT_THROW(store.put(key, Kind::kDistances, bytes), IoError);
   EXPECT_FALSE(store.contains(key));
 
   // The failed publish left (at most) temp litter, never a partial object:
   // the store still verifies clean.
-  support::io_chaos::reset_for_tests();
+  support::install_fault_plan(std::nullopt);
   EXPECT_TRUE(store.verify().ok());
 
   // Once the disk "recovers", the same put succeeds.
@@ -311,8 +370,8 @@ TEST_F(ObjectStoreChaosTest, RepairUnderRenameChaosIsRerunnable) {
 
   // Every quarantine rename fails mid-repair, as if the disk died between
   // verify and heal. The repair must report the failures, not abort.
-  support::install_io_chaos(
-      support::IoChaosConfig::parse("rename_fail=1,scope=store"));
+  support::install_fault_plan(
+      support::FaultPlan::parse("disk.rename_fail=1,disk.scope=store"));
   const ObjectStore::RepairReport wounded = store.repair();
   EXPECT_FALSE(wounded.ok());
   EXPECT_FALSE(wounded.failed.empty());
@@ -320,7 +379,7 @@ TEST_F(ObjectStoreChaosTest, RepairUnderRenameChaosIsRerunnable) {
 
   // The store survived: still scannable, healthy object still served, and
   // a re-run after the disk recovers completes the quarantine.
-  support::io_chaos::reset_for_tests();
+  support::install_fault_plan(std::nullopt);
   ASSERT_NE(store.get(good_key), nullptr);
   const ObjectStore::RepairReport healed = store.repair();
   EXPECT_TRUE(healed.ok());
@@ -369,8 +428,8 @@ TEST_F(ObjectStoreChaosTest, ArtifactStoreDegradesInsteadOfFailing) {
   const Digest key = digest_bytes(bytes.data(), bytes.size());
   EXPECT_FALSE(store.degraded());
 
-  support::install_io_chaos(
-      support::IoChaosConfig::parse("enospc=1,scope=store"));
+  support::install_fault_plan(
+      support::FaultPlan::parse("disk.enospc=1,disk.scope=store"));
   const std::uint64_t degraded_before =
       obs::counter("store.degraded").value();
   // A full disk must not kill the campaign: the save is swallowed, the
@@ -383,7 +442,7 @@ TEST_F(ObjectStoreChaosTest, ArtifactStoreDegradesInsteadOfFailing) {
   // Degradation latches for the campaign's lifetime — even after the disk
   // recovers, no further publishes are attempted (and the warning fired
   // exactly once).
-  support::io_chaos::reset_for_tests();
+  support::install_fault_plan(std::nullopt);
   EXPECT_NO_THROW(store.save_distance(key, 4.5));
   EXPECT_TRUE(store.degraded());
   EXPECT_FALSE(store.load_distance(key).has_value());

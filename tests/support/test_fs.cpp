@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "support/error.hpp"
-#include "support/io_chaos.hpp"
+#include "support/fault_plan.hpp"
 
 namespace anacin::support {
 namespace {
@@ -83,43 +83,37 @@ TEST(AtomicWriteFile, InjectedFailureLeavesDestinationUntouched) {
   const fs::path target = dir.path("report.json");
   atomic_write_file(target.string(), "intact previous version");
 
-  // Budget 0: the very next write fails as if the disk filled mid-write.
-  set_fail_write_after(0);
-  EXPECT_THROW(atomic_write_file(target.string(), "would-be new version"),
-               IoError);
+  {
+    // The write fails as if the disk filled mid-write.
+    const ScopedFaultPlan plan("disk.enospc=1");
+    EXPECT_THROW(atomic_write_file(target.string(), "would-be new version"),
+                 IoError);
+  }
   EXPECT_EQ(slurp(target), "intact previous version");
 
-  // The injection fires exactly once — the process recovers afterwards.
+  // Without the plan the process recovers.
   atomic_write_file(target.string(), "recovered");
   EXPECT_EQ(slurp(target), "recovered");
-}
-
-TEST(AtomicWriteFile, InjectionBudgetCountsWrites) {
-  TempDir dir;
-  set_fail_write_after(2);
-  atomic_write_file(dir.path("ok1").string(), "1");
-  atomic_write_file(dir.path("ok2").string(), "2");
-  EXPECT_THROW(atomic_write_file(dir.path("boom").string(), "3"), IoError);
-  EXPECT_FALSE(fs::exists(dir.path("boom")));
-  atomic_write_file(dir.path("ok3").string(), "4");
-  EXPECT_EQ(slurp(dir.path("ok3")), "4");
 }
 
 TEST(AtomicWriteFile, FailedInjectionDoesNotCountAsSuccess) {
   TempDir dir;
   const std::uint64_t before = atomic_write_count();
-  set_fail_write_after(0);
+  const ScopedFaultPlan plan("disk.enospc=1");
   EXPECT_THROW(atomic_write_file(dir.path("f").string(), "x"), IoError);
   EXPECT_EQ(atomic_write_count(), before);
 }
 
-/// Chaos-driven fs tests install a process-global config, so every one of
-/// them must clean up or the plain AtomicWriteFile tests above start
+/// Fault-plan-driven fs tests install a process-global plan, so every one
+/// of them must clean up or the plain AtomicWriteFile tests above start
 /// failing at random.
 class FsChaosTest : public ::testing::Test {
 protected:
-  void SetUp() override { io_chaos::reset_for_tests(); }
-  void TearDown() override { io_chaos::reset_for_tests(); }
+  void SetUp() override {
+    install_fault_plan(std::nullopt);
+    reset_durability_for_tests();
+  }
+  void TearDown() override { SetUp(); }
 
   static std::vector<fs::path> temp_files(const fs::path& root) {
     std::vector<fs::path> temps;
@@ -139,7 +133,7 @@ TEST_F(FsChaosTest, EnospcLeavesPartialTempAndDestinationUntouched) {
   const fs::path target = dir.path("report.json");
   atomic_write_file(target.string(), "intact previous version");
 
-  install_io_chaos(IoChaosConfig::parse("enospc=1"));
+  install_fault_plan(FaultPlan::parse("disk.enospc=1"));
   try {
     atomic_write_file(target.string(), "0123456789abcdef");
     FAIL() << "injected ENOSPC did not fire";
@@ -157,7 +151,7 @@ TEST_F(FsChaosTest, EnospcLeavesPartialTempAndDestinationUntouched) {
 
 TEST_F(FsChaosTest, EioIsDistinguishableFromEnospc) {
   TempDir dir;
-  install_io_chaos(IoChaosConfig::parse("eio=1"));
+  install_fault_plan(FaultPlan::parse("disk.eio=1"));
   try {
     atomic_write_file(dir.path("x").string(), "payload");
     FAIL() << "injected EIO did not fire";
@@ -168,7 +162,7 @@ TEST_F(FsChaosTest, EioIsDistinguishableFromEnospc) {
 
 TEST_F(FsChaosTest, OpenFailLeavesNoTempLitter) {
   TempDir dir;
-  install_io_chaos(IoChaosConfig::parse("open_fail=1"));
+  install_fault_plan(FaultPlan::parse("disk.open_fail=1"));
   EXPECT_THROW(atomic_write_file(dir.path("x").string(), "payload"), IoError);
   EXPECT_TRUE(temp_files(dir.path("")).empty());
 }
@@ -176,7 +170,7 @@ TEST_F(FsChaosTest, OpenFailLeavesNoTempLitter) {
 TEST_F(FsChaosTest, RenameFailLeavesCompleteTempBehind) {
   TempDir dir;
   const fs::path target = dir.path("x");
-  install_io_chaos(IoChaosConfig::parse("rename_fail=1"));
+  install_fault_plan(FaultPlan::parse("disk.rename_fail=1"));
   EXPECT_THROW(atomic_write_file(target.string(), "full payload"), IoError);
   EXPECT_FALSE(fs::exists(target));
   // The write itself completed; only the publishing rename failed.
@@ -187,7 +181,7 @@ TEST_F(FsChaosTest, RenameFailLeavesCompleteTempBehind) {
 
 TEST_F(FsChaosTest, OutOfScopeWritesSucceed) {
   TempDir dir;
-  install_io_chaos(IoChaosConfig::parse("enospc=1,scope=journal"));
+  install_fault_plan(FaultPlan::parse("disk.enospc=1,disk.scope=journal"));
   // Report-class writes sail through a journal-scoped fault config.
   atomic_write_file(dir.path("r.json").string(), "{}", PathClass::kReport);
   EXPECT_EQ(slurp(dir.path("r.json")), "{}");
@@ -195,20 +189,6 @@ TEST_F(FsChaosTest, OutOfScopeWritesSucceed) {
       atomic_write_file(dir.path("j.jsonl").string(), "{}",
                         PathClass::kJournal),
       IoError);
-}
-
-TEST_F(FsChaosTest, FailWriteAfterBudgetSkipsStoreClassWrites) {
-  TempDir dir;
-  set_fail_write_after(0);
-  // Store-internal writes postdate the legacy hook and must neither fail
-  // nor consume the one-shot budget...
-  atomic_write_file(dir.path("index.json").string(), "{}",
-                    PathClass::kStore);
-  EXPECT_EQ(slurp(dir.path("index.json")), "{}");
-  // ...so the budget is still armed for the next journal-class write.
-  EXPECT_THROW(atomic_write_file(dir.path("j.jsonl").string(), "{}",
-                                 PathClass::kJournal),
-               IoError);
 }
 
 TEST_F(FsChaosTest, StaleTempSweepRemovesOnlyPreExistingTemps) {
@@ -256,10 +236,10 @@ TEST_F(FsChaosTest, CommitDurabilityKeepsWritesAtomicAndClean) {
 
 TEST_F(FsChaosTest, DurableCommitsAdvanceTheDurableOpCount) {
   TempDir dir;
-  const std::uint64_t before = io_chaos::durable_op_count();
+  const std::uint64_t before = faults::counters().at("io.durable_ops");
   atomic_write_file(dir.path("1").string(), "1");
   atomic_write_file(dir.path("2").string(), "2");
-  EXPECT_EQ(io_chaos::durable_op_count(), before + 2);
+  EXPECT_EQ(faults::counters().at("io.durable_ops"), before + 2);
 }
 
 }  // namespace
