@@ -1619,8 +1619,8 @@ const char kUsage[] =
     "                       prune with `anacin cache gc`)\n"
     "  --durability LEVEL   none (default) | commit | paranoid: fsync\n"
     "                       discipline at durable commit points (journal,\n"
-    "                       reports, store index; paranoid adds store\n"
-    "                       object publishes) — docs/RESILIENCE.md\n"
+    "                       reports; paranoid adds store object\n"
+    "                       publishes) — docs/RESILIENCE.md\n"
     "\n"
     "fault injection (run / measure / sweep):\n"
     "  --fault-drop P       message drop probability [0..1]; in `sweep`,\n"
@@ -1802,9 +1802,8 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
       obs::Tracer::global().set_enabled(true);
     }
     // Durability installs process-wide BEFORE the store is constructed
-    // (store construction may already write the index) and is re-exported
-    // into the environment so forked worker children and spawned agents
-    // inherit the exact same configuration.
+    // and is re-exported into the environment so forked worker children
+    // and spawned agents inherit the exact same configuration.
     if (!global_options.durability.empty()) {
       support::set_durability(
           support::parse_durability(global_options.durability));
@@ -1814,14 +1813,9 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
     std::unique_ptr<store::ArtifactStore> artifact_store;
     ActiveStoreGuard store_guard;
     if (!global_options.store_dir.empty()) {
-      store::ObjectStore::Config store_config{global_options.store_dir,
-                                              global_options.store_max_bytes};
-      // Worker children share one store root with the campaign process and
-      // their siblings; object publishes are rename-atomic, but the index
-      // temp file is a fixed path concurrent writers would race on.
-      store_config.persist_index = command != "__worker";
-      artifact_store =
-          std::make_unique<store::ArtifactStore>(std::move(store_config));
+      artifact_store = std::make_unique<store::ArtifactStore>(
+          store::ObjectStore::Config{global_options.store_dir,
+                                     global_options.store_max_bytes});
       store::set_active_store(artifact_store.get());
     }
     // Re-pack as "<prog> <args...>" for the subcommand parser.

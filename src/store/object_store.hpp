@@ -23,14 +23,18 @@ using ObjectBytes = std::shared_ptr<const std::vector<std::uint8_t>>;
 ///
 /// Layout under the root directory:
 ///   objects/<first 2 hex chars>/<remaining 30 hex chars>   one artifact each
-///   index.json                                             metadata cache
+///
+/// The objects directory is the store's only record. `stats`, `verify` and
+/// `gc` walk it: an object's size and last use come from its file, and its
+/// kind from its envelope. A read from disk stamps the file's mtime, so
+/// `gc` evicts least-recently-used objects first. Opening a store only
+/// creates `objects/` and sweeps crashed writers' temp files, so many
+/// processes (the `--isolate=process` worker children) can share one root
+/// and each sees the others' publishes.
 ///
 /// Publishes are atomic: objects are written to a uniquely named temp file
 /// in the final directory and rename()d into place, so concurrent writers
-/// and readers (the campaign thread pool) never observe partial objects.
-/// The index holds sizes, kinds, and access times (for `gc`); it is a
-/// cache, not the source of truth — construction rescans the objects
-/// directory, so a lost or stale index self-heals.
+/// and readers never observe partial objects.
 ///
 /// Reads are fronted by a byte-bounded in-memory LRU cache. All public
 /// methods are thread-safe; file reads happen outside the lock.
@@ -40,16 +44,9 @@ class ObjectStore {
     std::filesystem::path root;
     /// Byte bound of the in-memory LRU cache (0 disables caching).
     std::uint64_t memory_max_bytes = 256ull << 20;
-    /// Persist index.json (a self-healing cache, not the source of truth).
-    /// Worker children (--isolate=process) disable this: many processes
-    /// share one store root, object publishes are rename-atomic and safe,
-    /// but the index temp file is a fixed path that concurrent writers
-    /// would race on.
-    bool persist_index = true;
   };
 
   explicit ObjectStore(Config config);
-  ~ObjectStore();
 
   ObjectStore(const ObjectStore&) = delete;
   ObjectStore& operator=(const ObjectStore&) = delete;
@@ -57,16 +54,18 @@ class ObjectStore {
   const std::filesystem::path& root() const { return config_.root; }
 
   /// Fetch an object's bytes (memory cache first, then disk); nullptr when
-  /// absent. Counts store.hits / store.misses / store.bytes_read.
+  /// absent. A disk read stamps the file's mtime (the last use `gc` sees).
+  /// Counts store.hits / store.misses / store.bytes_read.
   ObjectBytes get(const Digest& key);
 
   /// Publish an object; a key that already exists is left untouched.
-  /// Returns true when newly written. Counts store.bytes_written.
+  /// Returns true when newly written. Counts store.bytes_written. `kind`
+  /// is not recorded separately: the envelope in `bytes` carries it.
   bool put(const Digest& key, Kind kind, std::span<const std::uint8_t> bytes);
 
   bool contains(const Digest& key) const;
 
-  /// Drop an object from disk, index, and memory cache (used when a load
+  /// Drop an object from disk and memory cache (used when a load
   /// detects corruption so the artifact is recomputed, not re-served).
   void remove(const Digest& key);
 
@@ -119,33 +118,19 @@ class ObjectStore {
     /// Orphaned `*.tmp.*` files swept (crashed writers' litter).
     std::uint64_t removed_temp_files = 0;
   };
-  /// Evict least-recently-used objects until total size <= max_bytes.
-  /// Also sweeps stale temp files older than this process.
+  /// Evict least-recently-used objects (oldest mtime first) until total
+  /// size <= max_bytes. Also sweeps stale temp files older than this
+  /// process.
   GcReport gc(std::uint64_t max_bytes);
 
-  /// Persist the index (also done on put/remove/gc and destruction).
-  void flush_index();
-
  private:
-  struct Entry {
-    std::uint16_t kind = 0;
-    std::uint64_t size = 0;
-    std::int64_t created_unix = 0;
-    std::int64_t last_used_unix = 0;
-  };
-
   std::filesystem::path object_path(const std::string& hex) const;
-  void scan_objects();
-  void load_index();
-  void save_index_locked();
   void touch_memory_locked(const std::string& hex, ObjectBytes bytes);
   void evict_memory_locked();
   void drop_memory_locked(const std::string& hex);
 
   Config config_;
   mutable std::mutex mutex_;
-  std::map<std::string, Entry> index_;
-  bool index_dirty_ = false;
 
   /// LRU over object hex keys, most recent at the front.
   std::list<std::pair<std::string, ObjectBytes>> lru_;

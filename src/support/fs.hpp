@@ -18,7 +18,7 @@ enum class PathClass { kJournal, kStore, kReport, kOther };
 ///   kNone      rename-atomic only (page cache decides when bytes land)
 ///   kCommit    fsync the data file before rename and the parent
 ///              directory after, at every atomic_write_file commit point
-///              (journal, reports, store index)
+///              (journal, reports)
 ///   kParanoid  kCommit plus fsync of every store object publish
 enum class Durability { kNone, kCommit, kParanoid };
 

@@ -71,10 +71,10 @@ TEST(HtmlReport, InlinesSvgFigures) {
 TEST(HtmlReport, SaveWritesFile) {
   HtmlReport report("saved");
   report.add_paragraph("x");
-  report.save("test_output/report/r.html");
-  const std::string text = read_text_file("test_output/report/r.html");
+  report.save("test_output/html_report/r.html");
+  const std::string text = read_text_file("test_output/html_report/r.html");
   EXPECT_NE(text.find("saved"), std::string::npos);
-  std::filesystem::remove_all("test_output");
+  std::filesystem::remove_all("test_output/html_report");
 }
 
 }  // namespace

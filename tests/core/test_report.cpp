@@ -11,10 +11,10 @@ namespace anacin::core {
 namespace {
 
 TEST(TextFiles, WriteAndReadRoundTrip) {
-  const std::string path = "test_output/report/inner/file.txt";
+  const std::string path = "test_output/text_files/inner/file.txt";
   write_text_file(path, "hello\nworld\n");
   EXPECT_EQ(read_text_file(path), "hello\nworld\n");
-  std::filesystem::remove_all("test_output");
+  std::filesystem::remove_all("test_output/text_files");
 }
 
 TEST(TextFiles, ReadMissingThrows) {
@@ -50,19 +50,19 @@ TEST(Csv, RowWidthEnforced) {
 TEST(Csv, SaveWritesFile) {
   CsvWriter csv({"x"});
   csv.add_row({"1"});
-  csv.save("test_output/data.csv");
-  EXPECT_EQ(read_text_file("test_output/data.csv"), "x\n1\n");
-  std::filesystem::remove_all("test_output");
+  csv.save("test_output/csv/data.csv");
+  EXPECT_EQ(read_text_file("test_output/csv/data.csv"), "x\n1\n");
+  std::filesystem::remove_all("test_output/csv");
 }
 
 TEST(JsonFile, WritesPrettyJson) {
   json::Value doc = json::Value::object();
   doc.set("k", 1);
-  write_json_file("test_output/doc.json", doc);
-  const std::string text = read_text_file("test_output/doc.json");
+  write_json_file("test_output/json_file/doc.json", doc);
+  const std::string text = read_text_file("test_output/json_file/doc.json");
   EXPECT_NE(text.find("\"k\": 1"), std::string::npos);
   EXPECT_EQ(json::parse(text), doc);
-  std::filesystem::remove_all("test_output");
+  std::filesystem::remove_all("test_output/json_file");
 }
 
 TEST(ResultsDir, HonorsEnvironmentOverride) {

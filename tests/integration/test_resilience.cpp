@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -14,37 +13,15 @@
 #include <sstream>
 #include <string>
 
-#include "support/json.hpp"
-
-#ifndef ANACIN_CLI_PATH
-#error "ANACIN_CLI_PATH must point at the anacin executable"
-#endif
+#include "cli_e2e.hpp"
 
 namespace anacin {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string slurp(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-/// Run a shell command; returns the exit code, mapping death-by-signal to
-/// the shell convention 128+signo (SIGKILL => 137).
-int run_command(const std::string& command) {
-  const int status = std::system(command.c_str());
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
-  return -1;
-}
-
-double counter_value(const json::Value& metrics, const std::string& name) {
-  const json::Value* found = metrics.at("counters").find(name);
-  return found == nullptr ? 0.0 : found->as_number();
-}
+using e2e::counter_value;
+using e2e::run_command;
+using e2e::slurp;
 
 class ResilienceE2e : public ::testing::Test {
 protected:

@@ -1,0 +1,103 @@
+// End-to-end artifact store: a cold measurement and a cold 5-point sweep
+// fill one store, then the same commands re-run in fresh processes. The
+// warm passes must serve every run, reference and kernel distance from the
+// store — zero simulations, zero distance computations — and reproduce the
+// cold outputs byte for byte.
+
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <filesystem>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "cli_e2e.hpp"
+
+namespace anacin {
+namespace {
+
+namespace fs = std::filesystem;
+using e2e::counter_value;
+using e2e::run_command;
+using e2e::slurp;
+
+class StoreE2e : public ::testing::Test {
+protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("anacin_store_e2e_" + std::to_string(::getpid()));
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+  }
+  void TearDown() override {
+    std::error_code ec;
+    fs::remove_all(dir_, ec);
+  }
+
+  /// `anacin --store <dir>/store [--metrics-out <dir>/<tag>-metrics.json]
+  /// <args>`, its stdout and stderr captured in <dir>/<tag>.out.
+  int anacin(const std::string& tag, const std::string& args,
+             bool metrics = true) const {
+    std::ostringstream os;
+    os << '"' << fs::path(ANACIN_CLI_PATH).string() << '"' << " --store "
+       << (dir_ / "store").string();
+    if (metrics) {
+      os << " --metrics-out " << (dir_ / (tag + "-metrics.json")).string();
+    }
+    os << ' ' << args << " > " << (dir_ / (tag + ".out")).string() << " 2>&1";
+    return run_command(os.str());
+  }
+
+  double counter(const std::string& tag, const std::string& name) const {
+    return counter_value(json::parse(slurp(dir_ / (tag + "-metrics.json"))),
+                         name);
+  }
+
+  fs::path dir_;
+};
+
+TEST_F(StoreE2e, WarmRerunsInFreshProcessesDoNoSimulationOrDistanceWork) {
+  // Each command writes its result to the file named last.
+  const std::vector<std::pair<std::string, std::string>> commands = {
+      {"measure", "measure --pattern message_race --ranks 8 --runs 6 --json"},
+      {"sweep",
+       "sweep --pattern message_race --ranks 8 --runs 4 --step 25 --csv"}};
+  for (const auto& [phase, command] : commands) {
+    for (const char* pass : {"cold", "warm"}) {
+      const std::string tag = phase + "_" + pass;
+      ASSERT_EQ(anacin(tag, command + " " + (dir_ / tag).string()), 0)
+          << slurp(dir_ / (tag + ".out"));
+    }
+    const std::string cold = slurp(dir_ / (phase + "_cold"));
+    ASSERT_FALSE(cold.empty()) << phase;
+    EXPECT_EQ(slurp(dir_ / (phase + "_warm")), cold) << phase;
+
+    EXPECT_GT(counter(phase + "_cold", "sim.engine.runs"), 0) << phase;
+    EXPECT_EQ(counter(phase + "_warm", "sim.engine.runs"), 0) << phase;
+    EXPECT_EQ(counter(phase + "_warm", "kernels.distances_computed"), 0)
+        << phase;
+    EXPECT_GE(counter(phase + "_warm", "store.hits"), 1) << phase;
+  }
+
+  ASSERT_EQ(anacin("verify", "cache verify", false), 0)
+      << slurp(dir_ / "verify.out");
+  EXPECT_NE(slurp(dir_ / "verify.out").find(" 0 corrupt, 0 foreign"),
+            std::string::npos)
+      << slurp(dir_ / "verify.out");
+  ASSERT_EQ(anacin("stats", "cache stats", false), 0)
+      << slurp(dir_ / "stats.out");
+  EXPECT_NE(slurp(dir_ / "stats.out").find("  run "), std::string::npos)
+      << slurp(dir_ / "stats.out");
+
+  // objects/ is the store's only record: nothing else lands in its root.
+  std::vector<std::string> entries;
+  for (const auto& entry : fs::directory_iterator(dir_ / "store")) {
+    entries.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"objects"});
+}
+
+}  // namespace
+}  // namespace anacin

@@ -38,6 +38,11 @@ class ObjectStoreTest : public ::testing::Test {
     return encode_distances({value});
   }
 
+  fs::path object_file(const Digest& key) const {
+    const std::string hex = key.to_hex();
+    return root_ / "objects" / hex.substr(0, 2) / hex.substr(2);
+  }
+
   fs::path root_;
 };
 
@@ -64,34 +69,46 @@ TEST_F(ObjectStoreTest, ObjectsLandInShardedLayout) {
   const Digest key = digest_bytes(bytes.data(), bytes.size());
   store.put(key, Kind::kDistances, bytes);
 
-  const std::string hex = key.to_hex();
-  EXPECT_TRUE(
-      fs::exists(root_ / "objects" / hex.substr(0, 2) / hex.substr(2)));
-  EXPECT_TRUE(fs::exists(root_ / "index.json"));
+  EXPECT_TRUE(fs::exists(object_file(key)));
+  // objects/ is the store's only record: nothing else lands in the root.
+  std::vector<std::string> entries;
+  for (const auto& entry : fs::directory_iterator(root_)) {
+    entries.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(entries, std::vector<std::string>{"objects"});
 }
 
-TEST_F(ObjectStoreTest, SurvivesReopenAndIndexLoss) {
+TEST_F(ObjectStoreTest, SurvivesReopen) {
   const std::vector<std::uint8_t> bytes = artifact(3.0);
   const Digest key = digest_bytes(bytes.data(), bytes.size());
   {
     ObjectStore store({root_, 1 << 20});
     store.put(key, Kind::kDistances, bytes);
   }
-  {
-    ObjectStore reopened({root_, 1 << 20});
-    const ObjectBytes fetched = reopened.get(key);
-    ASSERT_NE(fetched, nullptr);
-    EXPECT_EQ(*fetched, bytes);
-  }
-  // The index is a cache: deleting it must not lose objects.
-  fs::remove(root_ / "index.json");
-  {
-    ObjectStore healed({root_, 1 << 20});
-    const ObjectBytes fetched = healed.get(key);
-    ASSERT_NE(fetched, nullptr);
-    EXPECT_EQ(*fetched, bytes);
-    EXPECT_EQ(healed.stats().objects, 1u);
-  }
+  ObjectStore reopened({root_, 1 << 20});
+  const ObjectBytes fetched = reopened.get(key);
+  ASSERT_NE(fetched, nullptr);
+  EXPECT_EQ(*fetched, bytes);
+  EXPECT_EQ(reopened.stats().objects, 1u);
+}
+
+// Under --isolate=process the campaign process and its worker children
+// share one root, and each opens its own store on it. What one publishes
+// after another opened must show up in the other's stats and gc.
+TEST_F(ObjectStoreTest, StatsSeeSiblingPublishes) {
+  ObjectStore first({root_, 1 << 20});
+  ObjectStore sibling({root_, 1 << 20});
+  const std::vector<std::uint8_t> bytes = artifact(11.0);
+  const Digest key = digest_bytes(bytes.data(), bytes.size());
+  ASSERT_TRUE(sibling.put(key, Kind::kDistances, bytes));
+
+  const ObjectStore::Stats stats = first.stats();
+  ASSERT_EQ(stats.objects, 1u);
+  EXPECT_EQ(stats.total_bytes, bytes.size());
+  EXPECT_EQ(stats.kind_counts.at("distances"), 1u);
+
+  EXPECT_EQ(first.gc(0).removed_objects, 1u);
+  EXPECT_FALSE(sibling.contains(key));
 }
 
 TEST_F(ObjectStoreTest, MemoryCacheEvictsByBytes) {
@@ -256,6 +273,35 @@ TEST_F(ObjectStoreTest, GcEvictsDownToBudget) {
   EXPECT_EQ(store.stats().objects, 0u);
 }
 
+TEST_F(ObjectStoreTest, GcEvictsLeastRecentlyUsedFirst) {
+  std::vector<Digest> keys;
+  std::uint64_t one_size = 0;
+  {
+    ObjectStore store({root_, 1 << 20});
+    for (int i = 0; i < 3; ++i) {
+      const std::vector<std::uint8_t> blob = artifact(20.0 + i);
+      one_size = blob.size();
+      keys.push_back(digest_bytes(blob.data(), blob.size()));
+      store.put(keys.back(), Kind::kDistances, blob);
+    }
+  }
+  // Last used hours apart: keys[0] oldest, keys[2] newest.
+  const auto now = fs::file_time_type::clock::now();
+  for (int i = 0; i < 3; ++i) {
+    fs::last_write_time(object_file(keys[i]), now - std::chrono::hours(3 - i));
+  }
+
+  // A disk read (a fresh store has nothing in memory) makes the oldest
+  // object the most recently used, so the middle one is evicted.
+  ObjectStore store({root_, 1 << 20});
+  ASSERT_NE(store.get(keys[0]), nullptr);
+  const ObjectStore::GcReport report = store.gc(2 * one_size);
+  EXPECT_EQ(report.removed_objects, 1u);
+  EXPECT_TRUE(store.contains(keys[0]));
+  EXPECT_FALSE(store.contains(keys[1]));
+  EXPECT_TRUE(store.contains(keys[2]));
+}
+
 // Under --isolate=process sibling worker processes publish the same
 // objects at the same moment. Their temp files must never collide: a
 // shared temp name let one writer rename the other's bytes away, and the
@@ -326,10 +372,8 @@ class ObjectStoreChaosTest : public ObjectStoreTest {
   }
 
   void corrupt_object(const Digest& key) {
-    const std::string hex = key.to_hex();
-    const fs::path path =
-        root_ / "objects" / hex.substr(0, 2) / hex.substr(2);
-    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    std::fstream file(object_file(key),
+                      std::ios::binary | std::ios::in | std::ios::out);
     file.seekp(static_cast<std::streamoff>(kEnvelopeSize + 2));
     const char garbage = 0x7f;
     file.write(&garbage, 1);

@@ -199,7 +199,7 @@ TEST_F(FsChaosTest, StaleTempSweepRemovesOnlyPreExistingTemps) {
   fs::last_write_time(stale,
                       process_start_file_time() - std::chrono::hours(1));
   // A fresh temp: could be a concurrent writer's in-flight publish.
-  const fs::path fresh = dir.path("index.json.tmp.9");
+  const fs::path fresh = dir.path("sweep.jsonl.tmp.9");
   std::ofstream(fresh) << "in flight";
   // An old non-temp file: never the sweeper's business.
   const fs::path bystander = dir.path("data.json");

@@ -70,11 +70,11 @@ TEST(Svg, RejectsEmptyCanvas) {
 
 TEST(Svg, SaveCreatesDirectories) {
   SvgDocument svg(10, 10);
-  const std::string path = "test_output/viz/nested/out.svg";
+  const std::string path = "test_output/svg/nested/out.svg";
   svg.save(path);
   std::ifstream in(path);
   EXPECT_TRUE(in.good());
-  std::filesystem::remove_all("test_output");
+  std::filesystem::remove_all("test_output/svg");
 }
 
 TEST(NiceTicks, CoverRangeWithRoundSteps) {
