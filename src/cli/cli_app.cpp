@@ -1524,9 +1524,6 @@ int cmd_cache(const std::vector<const char*>& argv, std::ostream& out) {
     for (const auto& [kind, count] : stats.kind_counts) {
       out << "  " << pad_right(kind, 16) << count << '\n';
     }
-    out << "memory cache:   " << stats.memory_objects << " objects, "
-        << stats.memory_bytes << " / " << stats.memory_max_bytes
-        << " bytes\n";
     return 0;
   }
   if (action == "verify") {
@@ -1614,9 +1611,6 @@ const char kUsage[] =
     "                       and kernel distances are cached and reused\n"
     "                       (defaults to $ANACIN_STORE_DIR when set)\n"
     "  --no-store           disable the store even if ANACIN_STORE_DIR is set\n"
-    "  --store-max-bytes N  in-memory cache budget of the store (default\n"
-    "                       268435456 = 256 MiB; disk usage is unbounded —\n"
-    "                       prune with `anacin cache gc`)\n"
     "  --durability LEVEL   none (default) | commit | paranoid: fsync\n"
     "                       discipline at durable commit points (journal,\n"
     "                       reports; paranoid adds store object\n"
@@ -1684,7 +1678,6 @@ struct GlobalOptions {
   /// Artifact-store directory; empty disables incremental execution.
   std::string store_dir;
   bool no_store = false;
-  std::uint64_t store_max_bytes = 256ull << 20;
   /// --durability level; empty keeps the environment/default (none).
   std::string durability;
 };
@@ -1719,8 +1712,6 @@ int dispatch(const std::string& command, const std::vector<const char*>& rest,
 /// name (or argc when none is left).
 int parse_global_options(int argc, const char* const* argv,
                          GlobalOptions* options) {
-  std::string store_max_bytes_text;
-  bool store_max_bytes_given = false;
   int index = 1;
   while (index < argc) {
     const std::string_view arg = argv[index];
@@ -1746,10 +1737,6 @@ int parse_global_options(int argc, const char* const* argv,
     if (take("--metrics-out", &options->metrics_out, "a file path")) continue;
     if (take("--trace-out", &options->trace_out, "a file path")) continue;
     if (take("--store", &options->store_dir, "a directory path")) continue;
-    if (take("--store-max-bytes", &store_max_bytes_text, "a byte count")) {
-      store_max_bytes_given = true;
-      continue;
-    }
     if (take("--durability", &options->durability,
              "none, commit, or paranoid")) {
       continue;
@@ -1760,11 +1747,6 @@ int parse_global_options(int argc, const char* const* argv,
       continue;
     }
     break;
-  }
-  if (store_max_bytes_given) {
-    // Strict parse: "", "10abc", and "-1" are errors, not defaults.
-    options->store_max_bytes =
-        parse_uint64_strict(store_max_bytes_text, "--store-max-bytes");
   }
   // Opt-in default so cron jobs / CI can turn on caching fleet-wide
   // without touching every invocation.
@@ -1814,8 +1796,7 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
     ActiveStoreGuard store_guard;
     if (!global_options.store_dir.empty()) {
       artifact_store = std::make_unique<store::ArtifactStore>(
-          store::ObjectStore::Config{global_options.store_dir,
-                                     global_options.store_max_bytes});
+          store::ObjectStore::Config{global_options.store_dir});
       store::set_active_store(artifact_store.get());
     }
     // Re-pack as "<prog> <args...>" for the subcommand parser.

@@ -150,12 +150,11 @@ ReferenceMemo& reference_memo() {
 /// the memo without limit (graphs are a few MB each at paper scale).
 constexpr std::size_t kMaxReferenceMemoEntries = 64;
 
-/// Produce the reference event graph: memo, then store, then simulate.
-/// Each unique reference key is simulated at most once per process (see
-/// the `campaign.reference_sims` counter).
+/// Produce the reference event graph: memo, then the run producer (store,
+/// then simulate). Each unique reference key is simulated at most once per
+/// process (see the `campaign.reference_sims` counter).
 std::shared_ptr<const graph::EventGraph> reference_graph(
-    const CampaignConfig& config, const sim::RankProgram& program,
-    store::ArtifactStore* store) {
+    const CampaignConfig& config, store::ArtifactStore* store) {
   const sim::SimConfig sim_config = config.reference_sim_config();
   const store::Digest key =
       store::ArtifactStore::run_key(config.pattern, config.shape, sim_config);
@@ -169,24 +168,11 @@ std::shared_ptr<const graph::EventGraph> reference_graph(
     }
   }
 
-  std::shared_ptr<const graph::EventGraph> graph;
-  if (store != nullptr) {
-    if (auto cached = store->load_run(key)) {
-      graph = std::make_shared<const graph::EventGraph>(
-          std::move(cached->graph));
-    }
-  }
-  if (!graph) {
-    obs::counter("campaign.reference_sims").add(1);
-    const sim::RunResult run = sim::run_simulation(sim_config, program);
-    store::EncodedRun encoded;
-    encoded.graph = graph::EventGraph::from_trace(run.trace);
-    encoded.messages = run.stats.messages;
-    encoded.wildcard_recvs = run.stats.wildcard_recvs;
-    if (store != nullptr) store->save_run(key, encoded);
-    graph = std::make_shared<const graph::EventGraph>(
-        std::move(encoded.graph));
-  }
+  bool simulated = false;
+  store::EncodedRun run = proc::load_or_simulate_run(
+      store, key, config.pattern, config.shape, sim_config, &simulated);
+  if (simulated) obs::counter("campaign.reference_sims").add(1);
+  auto graph = std::make_shared<const graph::EventGraph>(std::move(run.graph));
 
   std::lock_guard<std::mutex> lock(memo.mutex);
   if (memo.by_key.size() >= kMaxReferenceMemoEntries) memo.by_key.clear();
@@ -280,27 +266,17 @@ analysis::NdMeasurement measure_nd_with_store(
   std::vector<kernels::FeatureVector> features(n + 1);
   if (workers == nullptr) {
     ANACIN_SPAN("kernels.feature_extraction");
-    static obs::Counter& feature_tasks =
-        obs::counter("kernels.feature_tasks");
     pool.parallel_for(
         0, n + 1,
         [&](std::size_t i) {
           if (!need_features[i]) return;
-          // Extraction is itself cached: a resumed or re-kerneled campaign
-          // reloads each run's histogram instead of re-walking its graph.
-          // `kernels.feature_tasks` counts only real extractions, so it
-          // stays a census of work actually done.
-          const store::Digest key = store::ArtifactStore::features_key(
-              config.kernel, config.label_policy, key_of(i));
-          if (auto cached = store.load_features(key)) {
-            features[i] = std::move(*cached);
-            return;
-          }
-          const graph::EventGraph& graph = i == n ? reference : *runs[i];
-          features[i] = kernel->features(
-              kernels::build_labeled_graph(graph, config.label_policy));
-          store.save_features(key, features[i]);
-          feature_tasks.add(1);
+          // A resumed or re-kerneled campaign reloads each run's features
+          // instead of re-walking its graph.
+          features[i] = proc::load_or_extract_features(
+              &store, *kernel, config.kernel, config.label_policy, key_of(i),
+              [&]() -> const graph::EventGraph& {
+                return i == n ? reference : *runs[i];
+              });
         },
         1, cancel);
     if (cancel != nullptr && cancel->cancelled()) {
@@ -390,8 +366,10 @@ CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
   obs::counter("campaign.campaigns").add(1);
   obs::counter("campaign.runs")
       .add(static_cast<std::uint64_t>(config.num_runs));
-  const auto pattern = patterns::make_pattern(config.pattern);
-  const sim::RankProgram program = pattern->program(config.shape);
+  // The producers build the program only on a miss; building it here
+  // rejects an unknown pattern or a bad shape (ConfigError) before any
+  // unit runs.
+  patterns::make_pattern(config.pattern)->program(config.shape);
   const std::size_t num_runs = static_cast<std::size_t>(config.num_runs);
 
   proc::UnitExecutor* const workers = resilience.executor;
@@ -442,33 +420,14 @@ CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
             } else {
               support::faults::on_unit_body(unit);
             }
-            if (store != nullptr) {
-              if (auto cached = store->load_run(run_keys[i])) {
-                result.graphs[i] = std::move(cached->graph);
-                messages[i] = cached->messages;
-                wildcards[i] = cached->wildcard_recvs;
-                drops[i] = cached->drops;
-                duplicates[i] = cached->duplicates;
-                stragglers[i] = cached->straggler_events;
-                return;
-              }
-            }
-            const sim::RunResult run =
-                sim::run_simulation(sim_config, program);
-            store::EncodedRun encoded;
-            encoded.graph = graph::EventGraph::from_trace(run.trace);
-            encoded.messages = run.stats.messages;
-            encoded.wildcard_recvs = run.stats.wildcard_recvs;
-            encoded.drops = run.stats.drops;
-            encoded.duplicates = run.stats.duplicates;
-            encoded.straggler_events = run.stats.straggler_events;
-            if (store != nullptr) store->save_run(run_keys[i], encoded);
-            result.graphs[i] = std::move(encoded.graph);
-            messages[i] = encoded.messages;
-            wildcards[i] = encoded.wildcard_recvs;
-            drops[i] = encoded.drops;
-            duplicates[i] = encoded.duplicates;
-            stragglers[i] = encoded.straggler_events;
+            store::EncodedRun run = proc::load_or_simulate_run(
+                store, run_keys[i], config.pattern, config.shape, sim_config);
+            result.graphs[i] = std::move(run.graph);
+            messages[i] = run.messages;
+            wildcards[i] = run.wildcard_recvs;
+            drops[i] = run.drops;
+            duplicates[i] = run.duplicates;
+            stragglers[i] = run.straggler_events;
           });
           if (!run_reports[i].ok && !resilience.keep_going) {
             // Fail fast: parallel_for's cancellation skips every
@@ -525,7 +484,7 @@ CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
       } else {
         support::faults::on_unit_body("reference");
       }
-      reference = reference_graph(config, program, store);
+      reference = reference_graph(config, store);
     });
     if (!report.ok) {
       throw PermanentError("work unit 'reference' failed after " +

@@ -10,11 +10,10 @@
 #include <mutex>
 #include <thread>
 
-#include "graph/event_graph.hpp"
 #include "kernels/distance_matrix.hpp"
-#include "kernels/kernel.hpp"
+#include "obs/obs.hpp"
 #include "proc/protocol.hpp"
-#include "sim/engine.hpp"
+#include "sim/simulator.hpp"
 #include "store/codec.hpp"
 #include "support/error.hpp"
 #include "support/fault_plan.hpp"
@@ -44,9 +43,14 @@ store::Digest parse_digest(const json::Value& request,
   return *digest;
 }
 
-/// Execute one `run` unit: make the store contain the run artifact. The
-/// body mirrors run_campaign's in-process unit (including which RunStats
-/// fields the artifact carries) so isolated campaigns are bit-identical.
+json::Value ok_reply(const store::Digest& key) {
+  json::Value reply = json::Value::object();
+  reply.set("status", "ok");
+  reply.set("key", key.to_hex());
+  return reply;
+}
+
+/// Execute one `run` unit: make the store contain the run artifact.
 json::Value execute_run(store::ArtifactStore& store,
                         const json::Value& request) {
   const std::string pattern = request.at("pattern").as_string();
@@ -57,31 +61,15 @@ json::Value execute_run(store::ArtifactStore& store,
 
   const store::Digest key =
       store::ArtifactStore::run_key(pattern, shape, sim_config);
-  json::Value reply = json::Value::object();
-  reply.set("status", "ok");
-  reply.set("key", key.to_hex());
-  if (store.load_run(key)) return reply;  // warm store: nothing to compute
-
-  const auto pattern_impl = patterns::make_pattern(pattern);
-  const sim::RunResult run =
-      sim::run_simulation(sim_config, pattern_impl->program(shape));
-  store::EncodedRun encoded;
-  encoded.graph = graph::EventGraph::from_trace(run.trace);
-  encoded.messages = run.stats.messages;
-  encoded.wildcard_recvs = run.stats.wildcard_recvs;
-  encoded.drops = run.stats.drops;
-  encoded.duplicates = run.stats.duplicates;
-  encoded.straggler_events = run.stats.straggler_events;
-  store.save_run(key, encoded);
-  return reply;
+  load_or_simulate_run(&store, key, pattern, shape, sim_config);
+  return ok_reply(key);
 }
 
 /// Execute one `replay` unit: make the store contain the replayed-run
 /// artifact. The recorded schedule is itself a store artifact (named by
 /// digest, shipped to agents by hash like any other input); the request's
 /// `freed` array lists the flat rank-major schedule entries to free before
-/// replaying. Mirrors execute_run's artifact shape so replayed runs feed
-/// the same pair/feature machinery.
+/// replaying.
 json::Value execute_replay(store::ArtifactStore& store,
                            const json::Value& request) {
   const std::string pattern = request.at("pattern").as_string();
@@ -102,10 +90,8 @@ json::Value execute_replay(store::ArtifactStore& store,
 
   const store::Digest key = store::ArtifactStore::replay_run_key(
       pattern, shape, sim_config, schedule_digest, freed);
-  json::Value reply = json::Value::object();
-  reply.set("status", "ok");
-  reply.set("key", key.to_hex());
-  if (store.load_run(key)) return reply;
+  // A warm store answers before the schedule is read.
+  if (store.load_run(key)) return ok_reply(key);
 
   auto schedule = store.load_schedule(schedule_digest);
   if (!schedule) {
@@ -122,19 +108,8 @@ json::Value execute_replay(store::ArtifactStore& store,
     }
   }
   sim_config.replay = &*schedule;
-
-  const auto pattern_impl = patterns::make_pattern(pattern);
-  const sim::RunResult run =
-      sim::run_simulation(sim_config, pattern_impl->program(shape));
-  store::EncodedRun encoded;
-  encoded.graph = graph::EventGraph::from_trace(run.trace);
-  encoded.messages = run.stats.messages;
-  encoded.wildcard_recvs = run.stats.wildcard_recvs;
-  encoded.drops = run.stats.drops;
-  encoded.duplicates = run.stats.duplicates;
-  encoded.straggler_events = run.stats.straggler_events;
-  store.save_run(key, encoded);
-  return reply;
+  load_or_simulate_run(&store, key, pattern, shape, sim_config);
+  return ok_reply(key);
 }
 
 /// Execute one `pair` unit: make the store contain the distance artifact.
@@ -148,38 +123,30 @@ json::Value execute_pair(store::ArtifactStore& store,
 
   const store::Digest key =
       store::ArtifactStore::distance_key(kernel_spec, policy, a, b);
-  json::Value reply = json::Value::object();
-  reply.set("status", "ok");
-  reply.set("key", key.to_hex());
-  if (store.load_distance(key)) return reply;
+  if (store.load_distance(key)) return ok_reply(key);
 
-  // Feature histograms are themselves store artifacts: across the many
-  // pair units that share a run, only the first child pays for extraction.
-  // Cached histograms round-trip bit-exactly, so this keeps isolated and
-  // in-process campaigns byte-identical.
+  // Across the many pair units that share a run, only the first one pays
+  // for its features; later ones load them.
   const auto kernel = kernels::make_kernel(kernel_spec);
   const auto features_of = [&](const store::Digest& digest) {
-    const store::Digest features_key =
-        store::ArtifactStore::features_key(kernel_spec, policy, digest);
-    if (auto cached = store.load_features(features_key)) {
-      return std::move(*cached);
-    }
-    auto run = store.load_run(digest);
-    if (!run) {
-      throw PermanentError("worker: run artifact " + digest.to_hex() +
-                           " missing from the store — pair units are "
-                           "dispatched only after their runs complete");
-    }
-    kernels::FeatureVector features =
-        kernel->features(kernels::build_labeled_graph(run->graph, policy));
-    store.save_features(features_key, features);
-    return features;
+    graph::EventGraph loaded;
+    return load_or_extract_features(
+        &store, *kernel, kernel_spec, policy, digest,
+        [&]() -> const graph::EventGraph& {
+          auto run = store.load_run(digest);
+          if (!run) {
+            throw PermanentError("worker: run artifact " + digest.to_hex() +
+                                 " missing from the store — pair units are "
+                                 "dispatched only after their runs complete");
+          }
+          loaded = std::move(run->graph);
+          return loaded;
+        });
   };
   const kernels::FeatureVector features_a = features_of(a);
   const kernels::FeatureVector features_b = features_of(b);
-  const double distance = kernels::counted_distance(features_a, features_b);
-  store.save_distance(key, distance);
-  return reply;
+  store.save_distance(key, kernels::counted_distance(features_a, features_b));
+  return ok_reply(key);
 }
 
 bool send_fail(std::mutex& write_mutex, const char* kind,
@@ -192,6 +159,52 @@ bool send_fail(std::mutex& write_mutex, const char* kind,
 }
 
 }  // namespace
+
+store::EncodedRun run_artifact(const sim::RunResult& run) {
+  store::EncodedRun encoded;
+  encoded.graph = graph::EventGraph::from_trace(run.trace);
+  encoded.messages = run.stats.messages;
+  encoded.wildcard_recvs = run.stats.wildcard_recvs;
+  encoded.drops = run.stats.drops;
+  encoded.duplicates = run.stats.duplicates;
+  encoded.straggler_events = run.stats.straggler_events;
+  return encoded;
+}
+
+store::EncodedRun load_or_simulate_run(store::ArtifactStore* store,
+                                       const store::Digest& key,
+                                       const std::string& pattern,
+                                       const patterns::PatternConfig& shape,
+                                       const sim::SimConfig& sim_config,
+                                       bool* simulated) {
+  if (store != nullptr) {
+    if (auto cached = store->load_run(key)) return std::move(*cached);
+  }
+  const auto pattern_impl = patterns::make_pattern(pattern);
+  store::EncodedRun run = run_artifact(
+      sim::run_simulation(sim_config, pattern_impl->program(shape)));
+  if (store != nullptr) store->save_run(key, run);
+  if (simulated != nullptr) *simulated = true;
+  return run;
+}
+
+kernels::FeatureVector load_or_extract_features(
+    store::ArtifactStore* store, const kernels::GraphKernel& kernel,
+    const std::string& kernel_spec, kernels::LabelPolicy policy,
+    const store::Digest& run_key,
+    const std::function<const graph::EventGraph&()>& graph) {
+  const store::Digest key =
+      store::ArtifactStore::features_key(kernel_spec, policy, run_key);
+  if (store != nullptr) {
+    if (auto cached = store->load_features(key)) return std::move(*cached);
+  }
+  static obs::Counter& feature_tasks = obs::counter("kernels.feature_tasks");
+  kernels::FeatureVector features =
+      kernel.features(kernels::build_labeled_graph(graph(), policy));
+  feature_tasks.add(1);
+  if (store != nullptr) store->save_features(key, features);
+  return features;
+}
 
 json::Value execute_unit(store::ArtifactStore& store,
                          const json::Value& request) {

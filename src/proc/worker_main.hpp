@@ -1,16 +1,55 @@
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "graph/event_graph.hpp"
+#include "kernels/kernel.hpp"
 #include "kernels/labeled_graph.hpp"
 #include "patterns/pattern.hpp"
 #include "sim/config.hpp"
+#include "sim/engine.hpp"
 #include "store/hash.hpp"
 #include "store/store.hpp"
 #include "support/json.hpp"
 
 namespace anacin::proc {
+
+// The run and features producers below are the one place that decides
+// what a run or features artifact holds. Campaigns (run units, reference,
+// feature phase), bisect (candidates, reference features), the `__worker`
+// child and `anacin agent` all make these artifacts through them, so every
+// execution environment stores identical bytes. `store` may be null: then
+// nothing is loaded or published. The producers never call
+// faults::on_unit_body; their callers do, under their own unit ids.
+
+/// The run artifact of one finished simulation: its event graph plus the
+/// RunStats counters a campaign aggregates (`retries` stays 0). Bisect's
+/// record step, which also needs the trace, encodes through this too.
+store::EncodedRun run_artifact(const sim::RunResult& run);
+
+/// The run artifact named `key`: a store hit, or else a simulation of
+/// `pattern` at `shape` under `sim_config` (a replay when
+/// `sim_config.replay` is set), encoded and published. Sets `*simulated`
+/// when it simulated.
+store::EncodedRun load_or_simulate_run(store::ArtifactStore* store,
+                                       const store::Digest& key,
+                                       const std::string& pattern,
+                                       const patterns::PatternConfig& shape,
+                                       const sim::SimConfig& sim_config,
+                                       bool* simulated = nullptr);
+
+/// The features artifact of run `run_key` under `kernel` (spelled
+/// `kernel_spec`) and `policy`: a store hit, or else the features of
+/// `graph()`, published. `graph` is called only on a miss, so a hit never
+/// loads or simulates the run. Counts each real extraction in
+/// `kernels.feature_tasks`.
+kernels::FeatureVector load_or_extract_features(
+    store::ArtifactStore* store, const kernels::GraphKernel& kernel,
+    const std::string& kernel_spec, kernels::LabelPolicy policy,
+    const store::Digest& run_key,
+    const std::function<const graph::EventGraph&()>& graph);
 
 /// Build the request frame for one simulated run (`run:<i>` or
 /// `reference`). Everything the unit is a function of travels fully
@@ -50,11 +89,10 @@ json::Value make_pair_request(const std::string& unit,
 
 /// Execute one work-unit request against `store`: make the store contain
 /// the unit's result artifact (a `run`, `pair`, or `replay` unit; see
-/// make_run_request / make_pair_request / make_replay_request) and return
-/// the reply document
-/// {status, key}. Shared by the pipe worker (`anacin __worker`) and the
-/// socket agent (`anacin agent`) so every execution environment computes
-/// bit-identical artifacts. Throws the typed error taxonomy on failure.
+/// make_run_request / make_pair_request / make_replay_request) through the
+/// producers above and return the reply document {status, key}. Shared by
+/// the pipe worker (`anacin __worker`) and the socket agent (`anacin
+/// agent`). Throws the typed error taxonomy on failure.
 json::Value execute_unit(store::ArtifactStore& store,
                          const json::Value& request);
 

@@ -97,25 +97,20 @@ class CandidateEvaluator {
   }
 
  private:
+  /// Distance, then features, then run, then simulate: each step runs only
+  /// when the store (if any) misses the one before.
   double compute(const std::string& label,
                  const std::vector<std::size_t>& freed) {
     candidates_.fetch_add(1, std::memory_order_relaxed);
     obs::counter("replay.bisect_candidates").add(1);
-    if (store_ == nullptr) {
-      // Pure in-process mode: simulate + embed + measure directly.
-      support::faults::on_unit_body("replay:" + label);
-      const graph::EventGraph graph = simulate_replay(freed);
-      const kernels::FeatureVector features = kernel_->features(
-          kernels::build_labeled_graph(graph, config_.label_policy));
-      return kernels::counted_distance(reference_features_, features);
-    }
-
     const store::Digest replay_key = store::ArtifactStore::replay_run_key(
         config_.pattern, config_.shape, replay_sim_, schedule_key_, freed);
     const store::Digest distance_key = store::ArtifactStore::distance_key(
         config_.kernel_spec, config_.label_policy, reference_key_,
         replay_key);
-    if (const auto hit = store_->load_distance(distance_key)) return *hit;
+    if (store_ != nullptr) {
+      if (const auto hit = store_->load_distance(distance_key)) return *hit;
+    }
 
     if (executor_ != nullptr) {
       // The worker/agent simulates the replay and publishes the run, then
@@ -144,59 +139,27 @@ class CandidateEvaluator {
     }
 
     support::faults::on_unit_body("replay:" + label);
-    const kernels::FeatureVector features =
-        replay_features(freed, replay_key);
+    graph::EventGraph replay;
+    const kernels::FeatureVector features = proc::load_or_extract_features(
+        store_, *kernel_, config_.kernel_spec, config_.label_policy,
+        replay_key, [&]() -> const graph::EventGraph& {
+          sim::ReplaySchedule candidate = schedule_;
+          for (const std::size_t index : freed) {
+            ANACIN_CHECK(candidate.free_entry(index),
+                         "bisect: freed index " << index << " out of range");
+          }
+          sim::SimConfig sim_config = replay_sim_;
+          sim_config.replay = &candidate;
+          replay = proc::load_or_simulate_run(store_, replay_key,
+                                              config_.pattern, config_.shape,
+                                              sim_config)
+                       .graph;
+          return replay;
+        });
     const double distance =
         kernels::counted_distance(reference_features_, features);
-    store_->save_distance(distance_key, distance);
+    if (store_ != nullptr) store_->save_distance(distance_key, distance);
     return distance;
-  }
-
-  graph::EventGraph simulate_replay(const std::vector<std::size_t>& freed) {
-    sim::ReplaySchedule candidate = schedule_;
-    for (const std::size_t index : freed) {
-      ANACIN_CHECK(candidate.free_entry(index),
-                   "bisect: freed index " << index << " out of range");
-    }
-    sim::SimConfig sim_config = replay_sim_;
-    sim_config.replay = &candidate;
-    const auto pattern_impl = patterns::make_pattern(config_.pattern);
-    const sim::RunResult run = sim::run_simulation(
-        sim_config, pattern_impl->program(config_.shape));
-    graph::EventGraph graph = graph::EventGraph::from_trace(run.trace);
-    if (store_ != nullptr) {
-      const store::Digest replay_key = store::ArtifactStore::replay_run_key(
-          config_.pattern, config_.shape, replay_sim_, schedule_key_, freed);
-      store::EncodedRun encoded;
-      encoded.graph = graph;
-      encoded.messages = run.stats.messages;
-      encoded.wildcard_recvs = run.stats.wildcard_recvs;
-      encoded.drops = run.stats.drops;
-      encoded.duplicates = run.stats.duplicates;
-      encoded.straggler_events = run.stats.straggler_events;
-      store_->save_run(replay_key, encoded);
-    }
-    return graph;
-  }
-
-  kernels::FeatureVector replay_features(
-      const std::vector<std::size_t>& freed,
-      const store::Digest& replay_key) {
-    const store::Digest features_key = store::ArtifactStore::features_key(
-        config_.kernel_spec, config_.label_policy, replay_key);
-    if (auto cached = store_->load_features(features_key)) {
-      return std::move(*cached);
-    }
-    graph::EventGraph graph;
-    if (auto cached_run = store_->load_run(replay_key)) {
-      graph = std::move(cached_run->graph);
-    } else {
-      graph = simulate_replay(freed);
-    }
-    kernels::FeatureVector features = kernel_->features(
-        kernels::build_labeled_graph(graph, config_.label_policy));
-    store_->save_features(features_key, features);
-    return features;
   }
 
   const BisectConfig& config_;
@@ -318,18 +281,12 @@ BisectResult bisect(const BisectConfig& config, ThreadPool& pool,
         const sim::RunResult run = sim::run_simulation(
             config.record_sim, pattern_impl->program(config.shape));
         result.schedule = record_schedule(run.trace);
-        reference = graph::EventGraph::from_trace(run.trace);
+        store::EncodedRun encoded = proc::run_artifact(run);
         if (store != nullptr) {
-          store::EncodedRun encoded;
-          encoded.graph = reference;
-          encoded.messages = run.stats.messages;
-          encoded.wildcard_recvs = run.stats.wildcard_recvs;
-          encoded.drops = run.stats.drops;
-          encoded.duplicates = run.stats.duplicates;
-          encoded.straggler_events = run.stats.straggler_events;
           store->save_run(reference_key, encoded);
           store->save_schedule(schedule_key, result.schedule);
         }
+        reference = std::move(encoded.graph);
       });
       if (!report.ok) {
         throw PermanentError("bisect: recording the reference failed: " +
@@ -340,23 +297,11 @@ BisectResult bisect(const BisectConfig& config, ThreadPool& pool,
   check_cancel(cancel);
 
   // --- reference feature embedding (store-cached) ---
-  const auto kernel = kernels::make_kernel(config.kernel_spec);
-  kernels::FeatureVector reference_features;
-  {
-    const store::Digest features_key = store::ArtifactStore::features_key(
-        config.kernel_spec, config.label_policy, reference_key);
-    std::optional<kernels::FeatureVector> cached;
-    if (store != nullptr) cached = store->load_features(features_key);
-    if (cached) {
-      reference_features = std::move(*cached);
-    } else {
-      reference_features = kernel->features(
-          kernels::build_labeled_graph(reference, config.label_policy));
-      if (store != nullptr) {
-        store->save_features(features_key, reference_features);
-      }
-    }
-  }
+  const kernels::FeatureVector reference_features =
+      proc::load_or_extract_features(
+          store, *kernels::make_kernel(config.kernel_spec),
+          config.kernel_spec, config.label_policy, reference_key,
+          [&]() -> const graph::EventGraph& { return reference; });
 
   CandidateEvaluator evaluator(config, supervisor, executor, store,
                                result.schedule, reference_key, schedule_key,

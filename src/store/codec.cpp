@@ -385,34 +385,6 @@ std::vector<double> decode_distances(std::span<const std::uint8_t> bytes) {
   return values;
 }
 
-std::vector<std::uint8_t> encode_distance_matrix(
-    const kernels::DistanceMatrix& matrix) {
-  ByteWriter writer;
-  writer.u64(matrix.size);
-  for (const double value : matrix.values) writer.f64(value);
-  return seal(Kind::kDistanceMatrix, std::move(writer).take());
-}
-
-kernels::DistanceMatrix decode_distance_matrix(
-    std::span<const std::uint8_t> bytes) {
-  ByteReader reader(open(bytes, Kind::kDistanceMatrix));
-  kernels::DistanceMatrix matrix;
-  matrix.size = reader.u64();
-  if (matrix.size > 1u << 20 ||
-      matrix.size * matrix.size > reader.remaining() / 8) {
-    throw ParseError("truncated artifact: distance matrix size exceeds payload");
-  }
-  const std::uint64_t expected = matrix.size * matrix.size;
-  matrix.values.reserve(expected);
-  for (std::uint64_t i = 0; i < expected; ++i) {
-    matrix.values.push_back(reader.f64());
-  }
-  if (!reader.at_end()) {
-    throw ParseError("distance matrix artifact: trailing bytes after payload");
-  }
-  return matrix;
-}
-
 std::vector<std::uint8_t> encode_run(const EncodedRun& run) {
   ByteWriter writer;
   writer.u64(run.messages);

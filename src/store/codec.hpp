@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "graph/event_graph.hpp"
-#include "kernels/distance_matrix.hpp"
 #include "kernels/sparse_histogram.hpp"
 #include "sim/replay_schedule.hpp"
 #include "trace/trace.hpp"
@@ -46,6 +45,7 @@ enum class Kind : std::uint16_t {
   kTrace = 1,
   kEventGraph = 2,
   kDistances = 3,
+  /// Retired (nothing encodes it); the number and its name stay reserved.
   kDistanceMatrix = 4,
   /// One campaign run: aggregate simulator stats + the event graph.
   kRun = 5,
@@ -91,11 +91,6 @@ graph::EventGraph decode_event_graph(std::span<const std::uint8_t> bytes);
 
 std::vector<std::uint8_t> encode_distances(const std::vector<double>& values);
 std::vector<double> decode_distances(std::span<const std::uint8_t> bytes);
-
-std::vector<std::uint8_t> encode_distance_matrix(
-    const kernels::DistanceMatrix& matrix);
-kernels::DistanceMatrix decode_distance_matrix(
-    std::span<const std::uint8_t> bytes);
 
 std::vector<std::uint8_t> encode_run(const EncodedRun& run);
 EncodedRun decode_run(std::span<const std::uint8_t> bytes);

@@ -24,10 +24,6 @@ obs::Counter& misses_counter() {
   static obs::Counter& counter = obs::counter("store.misses");
   return counter;
 }
-obs::Counter& evictions_counter() {
-  static obs::Counter& counter = obs::counter("store.evictions");
-  return counter;
-}
 obs::Counter& bytes_read_counter() {
   static obs::Counter& counter = obs::counter("store.bytes_read");
   return counter;
@@ -100,50 +96,10 @@ fs::path ObjectStore::object_path(const std::string& hex) const {
   return config_.root / "objects" / hex.substr(0, 2) / hex.substr(2);
 }
 
-void ObjectStore::touch_memory_locked(const std::string& hex,
-                                      ObjectBytes bytes) {
-  if (config_.memory_max_bytes == 0) return;
-  if (const auto it = lru_lookup_.find(hex); it != lru_lookup_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_bytes_ += bytes->size();
-  lru_.emplace_front(hex, std::move(bytes));
-  lru_lookup_[hex] = lru_.begin();
-  evict_memory_locked();
-}
-
-void ObjectStore::evict_memory_locked() {
-  while (lru_bytes_ > config_.memory_max_bytes && !lru_.empty()) {
-    const auto& [hex, bytes] = lru_.back();
-    lru_bytes_ -= bytes->size();
-    lru_lookup_.erase(hex);
-    lru_.pop_back();
-    evictions_counter().add(1);
-  }
-}
-
-void ObjectStore::drop_memory_locked(const std::string& hex) {
-  if (const auto it = lru_lookup_.find(hex); it != lru_lookup_.end()) {
-    lru_bytes_ -= it->second->second->size();
-    lru_.erase(it->second);
-    lru_lookup_.erase(it);
-  }
-}
-
 ObjectBytes ObjectStore::get(const Digest& key) {
-  const std::string hex = key.to_hex();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto it = lru_lookup_.find(hex); it != lru_lookup_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      hits_counter().add(1);
-      return it->second->second;
-    }
-  }
-  // Disk read outside the lock; the path is an immutable function of the
-  // key, and published objects are never rewritten in place.
-  const fs::path path = object_path(hex);
+  // The path is an immutable function of the key, and published objects
+  // are never rewritten in place, so a read needs no lock.
+  const fs::path path = object_path(key.to_hex());
   auto bytes = read_file_bytes(path);
   if (!bytes.has_value()) {
     misses_counter().add(1);
@@ -155,11 +111,7 @@ ObjectBytes ObjectStore::get(const Digest& key) {
   // read-only mount still serves its objects.
   std::error_code ec;
   fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-  auto shared =
-      std::make_shared<const std::vector<std::uint8_t>>(std::move(*bytes));
-  std::lock_guard<std::mutex> lock(mutex_);
-  touch_memory_locked(hex, shared);
-  return shared;
+  return std::make_shared<const std::vector<std::uint8_t>>(std::move(*bytes));
 }
 
 // The kind is unnamed: the envelope in `bytes` already records it.
@@ -235,11 +187,6 @@ bool ObjectStore::put(const Digest& key, Kind /*kind*/,
   }
   bytes_written_counter().add(bytes.size());
   support::faults::note_durable_commit(support::PathClass::kStore);
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  touch_memory_locked(
-      hex, std::make_shared<const std::vector<std::uint8_t>>(bytes.begin(),
-                                                             bytes.end()));
   return true;
 }
 
@@ -249,11 +196,8 @@ bool ObjectStore::contains(const Digest& key) const {
 }
 
 void ObjectStore::remove(const Digest& key) {
-  const std::string hex = key.to_hex();
   std::error_code ec;
-  fs::remove(object_path(hex), ec);
-  std::lock_guard<std::mutex> lock(mutex_);
-  drop_memory_locked(hex);
+  fs::remove(object_path(key.to_hex()), ec);
 }
 
 ObjectStore::Stats ObjectStore::stats() const {
@@ -269,10 +213,6 @@ ObjectStore::Stats ObjectStore::stats() const {
     stats.total_bytes += size;
     stats.kind_counts[kind ? std::string(kind_name(*kind)) : "unknown"] += 1;
   });
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats.memory_objects = lru_.size();
-  stats.memory_bytes = lru_bytes_;
-  stats.memory_max_bytes = config_.memory_max_bytes;
   return stats;
 }
 
@@ -315,21 +255,18 @@ ObjectStore::RepairReport ObjectStore::repair() {
     // `failed`) and a later repair run picks it up again.
     if (support::faults::rename_fails(support::PathClass::kStore)) {
       report.failed.push_back(source.string());
-      return false;
+      return;
     }
     fs::rename(source, target, ec);
     if (ec) {
       report.failed.push_back(source.string());
-      return false;
+      return;
     }
     report.quarantined += 1;
-    return true;
   };
 
   for (const std::string& hex : report.verified.corrupt) {
-    if (!quarantine_file(object_path(hex), hex)) continue;
-    std::lock_guard<std::mutex> lock(mutex_);
-    drop_memory_locked(hex);
+    quarantine_file(object_path(hex), hex);
   }
   for (const std::string& path : report.verified.foreign) {
     const fs::path source(path);
@@ -371,8 +308,6 @@ ObjectStore::GcReport ObjectStore::gc(std::uint64_t max_bytes) {
     total -= object.size;
     report.removed_objects += 1;
     report.removed_bytes += object.size;
-    std::lock_guard<std::mutex> lock(mutex_);
-    drop_memory_locked(object.hex);
   }
   report.remaining_objects = objects.size() - report.removed_objects;
   report.remaining_bytes = total;

@@ -2,13 +2,10 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <list>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "store/codec.hpp"
@@ -16,7 +13,7 @@
 
 namespace anacin::store {
 
-/// Shared immutable bytes of one object (what the LRU cache holds).
+/// Shared immutable bytes of one object.
 using ObjectBytes = std::shared_ptr<const std::vector<std::uint8_t>>;
 
 /// File-backed content-addressed object store.
@@ -36,14 +33,14 @@ using ObjectBytes = std::shared_ptr<const std::vector<std::uint8_t>>;
 /// in the final directory and rename()d into place, so concurrent writers
 /// and readers never observe partial objects.
 ///
-/// Reads are fronted by a byte-bounded in-memory LRU cache. All public
-/// methods are thread-safe; file reads happen outside the lock.
+/// Every read comes from disk; the page cache does the caching. The store
+/// holds no mutable state (only its root), so it is thread-safe by
+/// construction, and a sibling process's publish or removal is visible to
+/// the next read.
 class ObjectStore {
  public:
   struct Config {
     std::filesystem::path root;
-    /// Byte bound of the in-memory LRU cache (0 disables caching).
-    std::uint64_t memory_max_bytes = 256ull << 20;
   };
 
   explicit ObjectStore(Config config);
@@ -53,9 +50,9 @@ class ObjectStore {
 
   const std::filesystem::path& root() const { return config_.root; }
 
-  /// Fetch an object's bytes (memory cache first, then disk); nullptr when
-  /// absent. A disk read stamps the file's mtime (the last use `gc` sees).
-  /// Counts store.hits / store.misses / store.bytes_read.
+  /// Read an object's bytes from disk; nullptr when absent. A read stamps
+  /// the file's mtime (the last use `gc` sees). Counts store.hits /
+  /// store.misses / store.bytes_read.
   ObjectBytes get(const Digest& key);
 
   /// Publish an object; a key that already exists is left untouched.
@@ -65,8 +62,8 @@ class ObjectStore {
 
   bool contains(const Digest& key) const;
 
-  /// Drop an object from disk and memory cache (used when a load
-  /// detects corruption so the artifact is recomputed, not re-served).
+  /// Delete an object's file (used when a load detects corruption so the
+  /// artifact is recomputed, not re-served).
   void remove(const Digest& key);
 
   struct Stats {
@@ -74,9 +71,6 @@ class ObjectStore {
     std::uint64_t total_bytes = 0;
     /// Object count per artifact kind name.
     std::map<std::string, std::uint64_t> kind_counts;
-    std::uint64_t memory_objects = 0;
-    std::uint64_t memory_bytes = 0;
-    std::uint64_t memory_max_bytes = 0;
   };
   Stats stats() const;
 
@@ -125,19 +119,8 @@ class ObjectStore {
 
  private:
   std::filesystem::path object_path(const std::string& hex) const;
-  void touch_memory_locked(const std::string& hex, ObjectBytes bytes);
-  void evict_memory_locked();
-  void drop_memory_locked(const std::string& hex);
 
-  Config config_;
-  mutable std::mutex mutex_;
-
-  /// LRU over object hex keys, most recent at the front.
-  std::list<std::pair<std::string, ObjectBytes>> lru_;
-  std::unordered_map<std::string,
-                     std::list<std::pair<std::string, ObjectBytes>>::iterator>
-      lru_lookup_;
-  std::uint64_t lru_bytes_ = 0;
+  const Config config_;
 };
 
 }  // namespace anacin::store

@@ -493,16 +493,12 @@ TEST(Cli, StoreEnvVarDefaultAndNoStoreOverride) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(Cli, StoreMaxBytesRejectsMalformedValues) {
-  for (const char* bad : {"abc", "10abc", "-1", "", "0x10", "1.5"}) {
-    const CliRun run = invoke(
-        {"--store-max-bytes", bad, "patterns"});
-    EXPECT_EQ(run.exit_code, 1) << "value '" << bad << "'";
-    EXPECT_NE(run.err.find("--store-max-bytes"), std::string::npos)
-        << "value '" << bad << "'";
-  }
-  EXPECT_EQ(invoke({"--store-max-bytes", "1048576", "patterns"}).exit_code, 0);
-  EXPECT_EQ(invoke({"--store-max-bytes=0", "patterns"}).exit_code, 0);
+// The store's in-memory cache and its budget flag are gone: the retired
+// flag fails loudly as an unknown command instead of being ignored.
+TEST(Cli, RetiredStoreMaxBytesIsAnUnknownCommand) {
+  const CliRun run = invoke({"--store-max-bytes", "5", "patterns"});
+  EXPECT_EQ(run.exit_code, 64);
+  EXPECT_NE(run.err.find("--store-max-bytes"), std::string::npos) << run.err;
 }
 
 TEST(Cli, FaultFlagsInjectFaults) {

@@ -1,8 +1,9 @@
-// End-to-end artifact store: a cold measurement and a cold 5-point sweep
-// fill one store, then the same commands re-run in fresh processes. The
-// warm passes must serve every run, reference and kernel distance from the
-// store — zero simulations, zero distance computations — and reproduce the
-// cold outputs byte for byte.
+// End-to-end artifact store: a cold measurement, a cold 5-point sweep, a
+// cold drop-probability sweep and a cold bisection fill one store, then the
+// same commands re-run in fresh processes. The warm passes must serve every
+// run, reference, feature and kernel distance from the store — zero
+// simulations, zero distance computations — and reproduce the cold outputs
+// byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -63,7 +64,15 @@ TEST_F(StoreE2e, WarmRerunsInFreshProcessesDoNoSimulationOrDistanceWork) {
   const std::vector<std::pair<std::string, std::string>> commands = {
       {"measure", "measure --pattern message_race --ranks 8 --runs 6 --json"},
       {"sweep",
-       "sweep --pattern message_race --ranks 8 --runs 4 --step 25 --csv"}};
+       "sweep --pattern message_race --ranks 8 --runs 4 --step 25 --csv"},
+      // A deterministic baseline (nd 0): every bit of distance comes from
+      // the injected drops.
+      {"fault_sweep",
+       "sweep --pattern message_race --ranks 8 --runs 5 --nd 0 "
+       "--fault-drop 0:0.3:0.1 --csv"},
+      {"bisect",
+       "bisect --pattern message_race --ranks 8 --nd 100 --seed 11 "
+       "--replay-seed 777 --json"}};
   for (const auto& [phase, command] : commands) {
     for (const char* pass : {"cold", "warm"}) {
       const std::string tag = phase + "_" + pass;
@@ -80,6 +89,34 @@ TEST_F(StoreE2e, WarmRerunsInFreshProcessesDoNoSimulationOrDistanceWork) {
         << phase;
     EXPECT_GE(counter(phase + "_warm", "store.hits"), 1) << phase;
   }
+
+  // The median distance never falls as the drop probability rises, and
+  // the drops move it off 0.
+  std::istringstream csv(slurp(dir_ / "fault_sweep_cold"));
+  std::string line;
+  ASSERT_TRUE(std::getline(csv, line));
+  ASSERT_EQ(line.rfind("drop_probability,median,", 0), 0u) << line;
+  std::vector<double> medians;
+  while (std::getline(csv, line)) {
+    medians.push_back(std::stod(line.substr(line.find(',') + 1)));
+  }
+  ASSERT_GE(medians.size(), 4u);
+  for (std::size_t i = 1; i < medians.size(); ++i) {
+    EXPECT_GE(medians[i], medians[i - 1]) << "point " << i;
+  }
+  EXPECT_GT(medians.back(), 0.0);
+
+  // The bisection converges on the racy wildcard receive.
+  const json::Value bisect = json::parse(slurp(dir_ / "bisect_cold"));
+  EXPECT_EQ(bisect.at("schema").as_string(), "anacin-bisect-1");
+  EXPECT_GT(bisect.at("total_matches").as_int(), 0);
+  const double full_gap = bisect.at("full_gap").as_number();
+  EXPECT_GT(full_gap, 0.0);
+  EXPECT_GT(bisect.at("minimal").size(), 0u);
+  EXPECT_GE(bisect.at("achieved").as_number(), 0.9 * full_gap);
+  ASSERT_GT(bisect.at("report").size(), 0u);
+  EXPECT_EQ(bisect.at("report").at(0).at("callsite").as_string(),
+            "message_race>race_recv>MPI_Recv");
 
   ASSERT_EQ(anacin("verify", "cache verify", false), 0)
       << slurp(dir_ / "verify.out");

@@ -77,10 +77,10 @@ TEST_F(IsolatedCampaignTest, MatchesInProcessCampaignByteIdentically) {
   ThreadPool pool(2);
   const CampaignConfig config = small_campaign(2026);
 
-  store::ArtifactStore plain_store({dir_ / "store-a", 64 << 20});
+  store::ArtifactStore plain_store({dir_ / "store-a"});
   const CampaignResult plain = run_campaign(config, pool, &plain_store);
 
-  store::ArtifactStore iso_store({dir_ / "store-b", 64 << 20});
+  store::ArtifactStore iso_store({dir_ / "store-b"});
   proc::WorkerPool workers(pool_config("store-b"));
   ResilienceOptions resilience;
   resilience.executor = &workers;
@@ -114,7 +114,7 @@ TEST_F(IsolatedCampaignTest, CrashedAndHungUnitsAreQuarantinedWithTriage) {
                       "unit.run:1=crash:KILL,unit.run:2=sleep:8000");
 
   ThreadPool pool(2);
-  store::ArtifactStore store({dir_ / "store-c", 64 << 20});
+  store::ArtifactStore store({dir_ / "store-c"});
   proc::WorkerPoolConfig pool_cfg = pool_config("store-c");
   pool_cfg.run_deadline_ms = 1500.0;
   proc::WorkerPool workers(pool_cfg);

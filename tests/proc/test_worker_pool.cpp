@@ -111,7 +111,7 @@ TEST_F(WorkerPoolTest, RunUnitRoundTripsThroughTheStore) {
                                                 config.sim_config_for_run(0)));
 
   // The artifact landed in the shared store, readable by the parent.
-  store::ArtifactStore store({dir_ / "store", 64 << 20});
+  store::ArtifactStore store({dir_ / "store"});
   EXPECT_TRUE(store.load_run(*key).has_value());
 
   // A warm re-dispatch answers identically (the child hits the store).

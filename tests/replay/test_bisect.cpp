@@ -4,6 +4,7 @@
 
 #include <filesystem>
 
+#include "obs/obs.hpp"
 #include "store/store.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
@@ -100,17 +101,27 @@ TEST(Bisect, StoreBackedBisectionMatchesInProcessAndWarmRuns) {
   const BisectConfig config = race_config();
   const BisectResult plain = bisect(config, pool);
 
+  // Feature census: the cold bisection extracts each candidate replay's
+  // features and the reference's exactly once; the warm one loads them all.
+  obs::Counter& feature_tasks = obs::counter("kernels.feature_tasks");
   BisectResult cold;
   BisectResult warm;
+  std::uint64_t cold_extractions = 0;
+  std::uint64_t warm_extractions = 0;
   {
-    store::ArtifactStore artifact_store(
-        store::ObjectStore::Config{root.string(), 64ull << 20});
+    store::ArtifactStore artifact_store(store::ObjectStore::Config{root});
     store::set_active_store(&artifact_store);
+    std::uint64_t before = feature_tasks.value();
     cold = bisect(config, pool);
+    cold_extractions = feature_tasks.value() - before;
+    before = feature_tasks.value();
     warm = bisect(config, pool);
+    warm_extractions = feature_tasks.value() - before;
     store::set_active_store(nullptr);
   }
   fs::remove_all(root);
+  EXPECT_EQ(cold_extractions, cold.candidates + 1);
+  EXPECT_EQ(warm_extractions, 0u);
 
   // Store-cached candidate replays produce the same bisection as direct
   // in-process evaluation, and a warm store changes nothing but the work.

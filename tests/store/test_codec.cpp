@@ -63,16 +63,6 @@ TEST(CodecDistances, DoublesRoundTripBitwise) {
   }
 }
 
-TEST(CodecDistanceMatrix, RoundTrip) {
-  kernels::DistanceMatrix matrix;
-  matrix.size = 3;
-  matrix.values = {0.0, 1.5, 2.5, 1.5, 0.0, 3.5, 2.5, 3.5, 0.0};
-  const kernels::DistanceMatrix decoded =
-      decode_distance_matrix(encode_distance_matrix(matrix));
-  EXPECT_EQ(decoded.size, matrix.size);
-  EXPECT_EQ(decoded.values, matrix.values);
-}
-
 TEST(CodecRun, RoundTripKeepsStats) {
   const sim::RunResult run = sample_run();
   EncodedRun original;

@@ -47,7 +47,7 @@ class ObjectStoreTest : public ::testing::Test {
 };
 
 TEST_F(ObjectStoreTest, PutGetRoundTrip) {
-  ObjectStore store({root_, 1 << 20});
+  ObjectStore store({root_});
   const std::vector<std::uint8_t> bytes = artifact(1.25);
   const Digest key = digest_bytes(bytes.data(), bytes.size());
 
@@ -64,7 +64,7 @@ TEST_F(ObjectStoreTest, PutGetRoundTrip) {
 }
 
 TEST_F(ObjectStoreTest, ObjectsLandInShardedLayout) {
-  ObjectStore store({root_, 1 << 20});
+  ObjectStore store({root_});
   const std::vector<std::uint8_t> bytes = artifact(2.0);
   const Digest key = digest_bytes(bytes.data(), bytes.size());
   store.put(key, Kind::kDistances, bytes);
@@ -82,10 +82,10 @@ TEST_F(ObjectStoreTest, SurvivesReopen) {
   const std::vector<std::uint8_t> bytes = artifact(3.0);
   const Digest key = digest_bytes(bytes.data(), bytes.size());
   {
-    ObjectStore store({root_, 1 << 20});
+    ObjectStore store({root_});
     store.put(key, Kind::kDistances, bytes);
   }
-  ObjectStore reopened({root_, 1 << 20});
+  ObjectStore reopened({root_});
   const ObjectBytes fetched = reopened.get(key);
   ASSERT_NE(fetched, nullptr);
   EXPECT_EQ(*fetched, bytes);
@@ -96,8 +96,8 @@ TEST_F(ObjectStoreTest, SurvivesReopen) {
 // share one root, and each opens its own store on it. What one publishes
 // after another opened must show up in the other's stats and gc.
 TEST_F(ObjectStoreTest, StatsSeeSiblingPublishes) {
-  ObjectStore first({root_, 1 << 20});
-  ObjectStore sibling({root_, 1 << 20});
+  ObjectStore first({root_});
+  ObjectStore sibling({root_});
   const std::vector<std::uint8_t> bytes = artifact(11.0);
   const Digest key = digest_bytes(bytes.data(), bytes.size());
   ASSERT_TRUE(sibling.put(key, Kind::kDistances, bytes));
@@ -111,28 +111,22 @@ TEST_F(ObjectStoreTest, StatsSeeSiblingPublishes) {
   EXPECT_FALSE(sibling.contains(key));
 }
 
-TEST_F(ObjectStoreTest, MemoryCacheEvictsByBytes) {
-  // Budget fits roughly one artifact; inserting several must evict.
-  const std::vector<std::uint8_t> bytes = artifact(0.0);
-  ObjectStore store({root_, bytes.size() + 4});
-  const std::uint64_t evictions_before =
-      obs::counter("store.evictions").value();
-  for (int i = 0; i < 4; ++i) {
-    const std::vector<std::uint8_t> blob = artifact(static_cast<double>(i));
-    store.put(digest_bytes(blob.data(), blob.size()), Kind::kDistances, blob);
-  }
-  EXPECT_GT(obs::counter("store.evictions").value(), evictions_before);
-  EXPECT_LE(store.stats().memory_bytes, bytes.size() + 4);
-  // Evicted objects are still served from disk.
-  const std::vector<std::uint8_t> first = artifact(0.0);
-  const ObjectBytes fetched =
-      store.get(digest_bytes(first.data(), first.size()));
-  ASSERT_NE(fetched, nullptr);
-  EXPECT_EQ(*fetched, first);
+// Every read comes from disk: once a sibling removes an object, a store
+// that read it before no longer serves it.
+TEST_F(ObjectStoreTest, GetSeesSiblingRemoval) {
+  ObjectStore first({root_});
+  ObjectStore sibling({root_});
+  const std::vector<std::uint8_t> bytes = artifact(12.0);
+  const Digest key = digest_bytes(bytes.data(), bytes.size());
+  ASSERT_TRUE(first.put(key, Kind::kDistances, bytes));
+  ASSERT_NE(first.get(key), nullptr);
+
+  sibling.remove(key);
+  EXPECT_EQ(first.get(key), nullptr);
 }
 
 TEST_F(ObjectStoreTest, CountsHitsAndMisses) {
-  ObjectStore store({root_, 1 << 20});
+  ObjectStore store({root_});
   const std::vector<std::uint8_t> bytes = artifact(9.0);
   const Digest key = digest_bytes(bytes.data(), bytes.size());
 
@@ -147,7 +141,7 @@ TEST_F(ObjectStoreTest, CountsHitsAndMisses) {
 }
 
 TEST_F(ObjectStoreTest, StatsCountKinds) {
-  ObjectStore store({root_, 1 << 20});
+  ObjectStore store({root_});
   for (int i = 0; i < 3; ++i) {
     const std::vector<std::uint8_t> blob = artifact(static_cast<double>(i));
     store.put(digest_bytes(blob.data(), blob.size()), Kind::kDistances, blob);
@@ -159,7 +153,7 @@ TEST_F(ObjectStoreTest, StatsCountKinds) {
 }
 
 TEST_F(ObjectStoreTest, VerifyFlagsCorruptAndForeignFiles) {
-  ObjectStore store({root_, 1 << 20});
+  ObjectStore store({root_});
   const std::vector<std::uint8_t> bytes = artifact(5.0);
   const Digest key = digest_bytes(bytes.data(), bytes.size());
   store.put(key, Kind::kDistances, bytes);
@@ -186,7 +180,7 @@ TEST_F(ObjectStoreTest, VerifyFlagsCorruptAndForeignFiles) {
 }
 
 TEST_F(ObjectStoreTest, RepairQuarantinesCorruptAndForeignObjects) {
-  ObjectStore store({root_, 1 << 20});
+  ObjectStore store({root_});
   const std::vector<std::uint8_t> good = artifact(7.0);
   const Digest good_key = digest_bytes(good.data(), good.size());
   store.put(good_key, Kind::kDistances, good);
@@ -232,7 +226,7 @@ TEST_F(ObjectStoreTest, RepairQuarantinesCorruptAndForeignObjects) {
 }
 
 TEST_F(ObjectStoreTest, RepeatedRepairUniquifiesQuarantineNames) {
-  ObjectStore store({root_, 1 << 20});
+  ObjectStore store({root_});
   for (int round = 0; round < 2; ++round) {
     fs::create_directories(root_ / "objects" / "zz");
     std::ofstream(root_ / "objects" / "zz" / "junk") << "round " << round;
@@ -243,7 +237,7 @@ TEST_F(ObjectStoreTest, RepeatedRepairUniquifiesQuarantineNames) {
 }
 
 TEST_F(ObjectStoreTest, RemoveDropsObjectEverywhere) {
-  ObjectStore store({root_, 1 << 20});
+  ObjectStore store({root_});
   const std::vector<std::uint8_t> bytes = artifact(6.0);
   const Digest key = digest_bytes(bytes.data(), bytes.size());
   store.put(key, Kind::kDistances, bytes);
@@ -254,7 +248,7 @@ TEST_F(ObjectStoreTest, RemoveDropsObjectEverywhere) {
 }
 
 TEST_F(ObjectStoreTest, GcEvictsDownToBudget) {
-  ObjectStore store({root_, 1 << 20});
+  ObjectStore store({root_});
   std::uint64_t one_size = 0;
   for (int i = 0; i < 5; ++i) {
     const std::vector<std::uint8_t> blob = artifact(static_cast<double>(i));
@@ -277,7 +271,7 @@ TEST_F(ObjectStoreTest, GcEvictsLeastRecentlyUsedFirst) {
   std::vector<Digest> keys;
   std::uint64_t one_size = 0;
   {
-    ObjectStore store({root_, 1 << 20});
+    ObjectStore store({root_});
     for (int i = 0; i < 3; ++i) {
       const std::vector<std::uint8_t> blob = artifact(20.0 + i);
       one_size = blob.size();
@@ -291,9 +285,9 @@ TEST_F(ObjectStoreTest, GcEvictsLeastRecentlyUsedFirst) {
     fs::last_write_time(object_file(keys[i]), now - std::chrono::hours(3 - i));
   }
 
-  // A disk read (a fresh store has nothing in memory) makes the oldest
-  // object the most recently used, so the middle one is evicted.
-  ObjectStore store({root_, 1 << 20});
+  // A read makes the oldest object the most recently used, so the middle
+  // one is evicted.
+  ObjectStore store({root_});
   ASSERT_NE(store.get(keys[0]), nullptr);
   const ObjectStore::GcReport report = store.gc(2 * one_size);
   EXPECT_EQ(report.removed_objects, 1u);
@@ -324,7 +318,7 @@ TEST_F(ObjectStoreTest, ConcurrentProcessesPublishTheSameKeys) {
         char byte = 0;
         (void)::read(gate[0], &byte, 1);
         try {
-          ObjectStore store({root_, 1 << 20});
+          ObjectStore store({root_});
           for (int k = 0; k < kKeys; ++k) {
             const std::vector<std::uint8_t> bytes =
                 artifact(round * 1000.0 + k);
@@ -347,7 +341,7 @@ TEST_F(ObjectStoreTest, ConcurrentProcessesPublishTheSameKeys) {
           << "round " << round << ": a publishing child failed";
     }
   }
-  ObjectStore store({root_, 1 << 20});
+  ObjectStore store({root_});
   EXPECT_TRUE(store.verify().ok());
   EXPECT_EQ(store.stats().objects,
             static_cast<std::uint64_t>(kRounds * kKeys));
@@ -381,7 +375,7 @@ class ObjectStoreChaosTest : public ObjectStoreTest {
 };
 
 TEST_F(ObjectStoreChaosTest, PutUnderEnospcThrowsAndStoreStaysScannable) {
-  ObjectStore store({root_, 1 << 20});
+  ObjectStore store({root_});
   const std::vector<std::uint8_t> bytes = artifact(1.0);
   const Digest key = digest_bytes(bytes.data(), bytes.size());
 
@@ -403,7 +397,7 @@ TEST_F(ObjectStoreChaosTest, PutUnderEnospcThrowsAndStoreStaysScannable) {
 }
 
 TEST_F(ObjectStoreChaosTest, RepairUnderRenameChaosIsRerunnable) {
-  ObjectStore store({root_, 1 << 20});
+  ObjectStore store({root_});
   const std::vector<std::uint8_t> good = artifact(7.0);
   const Digest good_key = digest_bytes(good.data(), good.size());
   store.put(good_key, Kind::kDistances, good);
@@ -443,14 +437,14 @@ TEST_F(ObjectStoreChaosTest, ConstructionSweepsPreExistingTempLitter) {
   const fs::path fresh = root_ / "objects" / "ab" / "cdef.tmp.5";
   std::ofstream(fresh) << "in flight";
 
-  ObjectStore store({root_, 1 << 20});
+  ObjectStore store({root_});
   EXPECT_FALSE(fs::exists(stale));
   EXPECT_TRUE(fs::exists(fresh));
   EXPECT_TRUE(store.verify().ok());  // temps are not foreign files
 }
 
 TEST_F(ObjectStoreChaosTest, GcReportsSweptTempFiles) {
-  ObjectStore store({root_, 1 << 20});
+  ObjectStore store({root_});
   const std::vector<std::uint8_t> bytes = artifact(2.0);
   store.put(digest_bytes(bytes.data(), bytes.size()), Kind::kDistances,
             bytes);
@@ -467,7 +461,7 @@ TEST_F(ObjectStoreChaosTest, GcReportsSweptTempFiles) {
 }
 
 TEST_F(ObjectStoreChaosTest, ArtifactStoreDegradesInsteadOfFailing) {
-  ArtifactStore store({root_, 1 << 20});
+  ArtifactStore store({root_});
   const std::vector<std::uint8_t> bytes = artifact(4.5);
   const Digest key = digest_bytes(bytes.data(), bytes.size());
   EXPECT_FALSE(store.degraded());

@@ -59,7 +59,7 @@ TEST_F(StoreCampaignTest, KeysAreStableAndDistanceKeyIsSymmetric) {
 }
 
 TEST_F(StoreCampaignTest, WarmRerunSkipsAllSimulationAndDistanceWork) {
-  ArtifactStore store({root_, 64 << 20});
+  ArtifactStore store({root_});
   ThreadPool pool(2);
   const core::CampaignConfig config = small_campaign(2026);
 
@@ -91,7 +91,7 @@ TEST_F(StoreCampaignTest, WarmRerunSkipsAllSimulationAndDistanceWork) {
 }
 
 TEST_F(StoreCampaignTest, StoreDoesNotChangeResults) {
-  ArtifactStore store({root_, 64 << 20});
+  ArtifactStore store({root_});
   ThreadPool pool(2);
   const core::CampaignConfig config = small_campaign(777);
 
@@ -102,7 +102,7 @@ TEST_F(StoreCampaignTest, StoreDoesNotChangeResults) {
 }
 
 TEST_F(StoreCampaignTest, PairwiseReductionIsAlsoCached) {
-  ArtifactStore store({root_, 64 << 20});
+  ArtifactStore store({root_});
   ThreadPool pool(2);
   core::CampaignConfig config = small_campaign(31337);
   config.reduction = analysis::DistanceReduction::kPairwise;
@@ -143,7 +143,7 @@ TEST_F(StoreCampaignTest, DifferentFaultConfigsNeverShareRunKeys) {
 }
 
 TEST_F(StoreCampaignTest, ChangingOnlyFaultConfigRecomputesOnWarmStore) {
-  ArtifactStore store({root_, 64 << 20});
+  ArtifactStore store({root_});
   ThreadPool pool(2);
   core::CampaignConfig faulty = small_campaign(2027);
   faulty.faults.drop_probability = 0.5;
@@ -186,7 +186,7 @@ TEST_F(StoreCampaignTest, ChangingOnlyFaultConfigRecomputesOnWarmStore) {
 }
 
 TEST_F(StoreCampaignTest, CorruptObjectIsRecomputedNotServed) {
-  ArtifactStore store({root_, 0});  // no memory cache: force disk reads
+  ArtifactStore store({root_});
   ThreadPool pool(2);
   const core::CampaignConfig config = small_campaign(555);
   const core::CampaignResult cold = core::run_campaign(config, pool, &store);
