@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -171,6 +174,51 @@ TEST(EngineBasic, UserExceptionPropagates) {
                                 (void)comm.recv();
                               }),
                std::runtime_error);
+}
+
+/// Bumps a counter when the rank's stack unwinds past it.
+struct UnwindProbe {
+  std::atomic<int>* unwound;
+  ~UnwindProbe() { ++*unwound; }
+};
+
+TEST(EngineBasic, UnfinishedRanksUnwindWhenOneThrows) {
+  // Ranks 0-2 block forever; rank 3's error must not leave their stacks
+  // un-unwound behind it.
+  std::atomic<int> unwound{0};
+  EXPECT_THROW(run_simulation(quiet_config(4),
+                              [&unwound](Comm& comm) {
+                                if (comm.rank() == 3) {
+                                  throw std::runtime_error("app bug");
+                                }
+                                const UnwindProbe probe{&unwound};
+                                (void)comm.recv();
+                              }),
+               std::runtime_error);
+  EXPECT_EQ(unwound.load(), 3);
+}
+
+/// Recurses through 4 KiB frames the optimizer cannot remove: each frame's
+/// volatile array is written before and read after the recursive call.
+int recurse_through_stack(int depth) {
+  volatile char frame[4096];
+  for (std::size_t i = sizeof frame; i-- > 0;) {
+    frame[i] = static_cast<char>(depth);
+  }
+  const int below =
+      depth < (1 << 30) ? recurse_through_stack(depth + 1) : 0;
+  return below + frame[0] + frame[sizeof frame - 1];
+}
+
+TEST(EngineDeathTest, RankStackOverflowHitsGuardPage) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        run_simulation(quiet_config(1), [](Comm& comm) {
+          comm.compute(recurse_through_stack(0) > 0 ? 1.0 : 2.0);
+        });
+      },
+      "");
 }
 
 TEST(EngineBasic, SizeHintInflatesMessageSize) {
