@@ -42,6 +42,16 @@ private:
 /// from point-to-point messages. All virtual time and randomness is managed
 /// by the engine, so a program using only this interface is reproducible
 /// from the run seed.
+///
+/// Every rank runs as a fiber on the thread that called Engine::run(), so
+/// all ranks of a simulation share that thread's thread-local state. Two
+/// rules follow for rank programs:
+///  - Open no obs span (ANACIN_SPAN): the span depth is thread-local.
+///  - Call no Comm method inside a `catch` handler: the C++ runtime keeps
+///    one caught-exception stack per thread, and a blocking call switches
+///    to another rank's fiber while the handler is still active.
+/// A rank's stack is 256 KiB; a program that recurses past it dies on the
+/// stack's guard page.
 class Comm {
 public:
   Comm(Engine* engine, int rank);
