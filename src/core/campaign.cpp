@@ -278,7 +278,7 @@ analysis::NdMeasurement measure_nd_with_store(
                 return i == n ? reference : *runs[i];
               });
         },
-        1, cancel);
+        cancel);
     if (cancel != nullptr && cancel->cancelled()) {
       throw InterruptedError("interrupted during feature extraction");
     }
@@ -326,7 +326,7 @@ analysis::NdMeasurement measure_nd_with_store(
           slot_failed[pair.out] = 1;
         }
       },
-      1, cancel);
+      cancel);
   if (cancel != nullptr && cancel->cancelled()) {
     throw InterruptedError("interrupted during distance measurement");
   }
@@ -437,7 +437,7 @@ CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
                                  " attempt(s): " + run_reports[i].error);
           }
         },
-        1, cancel);
+        cancel);
   }
   check_interrupt("simulation");
 

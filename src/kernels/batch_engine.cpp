@@ -85,7 +85,7 @@ std::vector<FeatureVector> batch_features(
         features[i] = kernel.features(graphs[i]);
         feature_tasks.add(1);
       },
-      1, cancel);
+      cancel);
   return features;
 }
 

@@ -257,7 +257,12 @@ std::unique_ptr<TcpConnection> TcpListener::accept(int timeout_ms) {
 
 void TcpListener::close() {
   const int fd = fd_.exchange(-1);
-  if (fd >= 0) ::close(fd);
+  if (fd < 0) return;
+  // On Linux close() alone does not wake another thread's poll() on this
+  // fd; shutdown() does, so a blocked accept() returns now instead of at
+  // its timeout.
+  ::shutdown(fd, SHUT_RDWR);
+  ::close(fd);
 }
 
 }  // namespace anacin::net

@@ -15,8 +15,8 @@ namespace anacin::obs {
 
 /// Number of per-thread shards each metric keeps. Writers pick a shard by
 /// thread and update it with relaxed atomics, so concurrent increments
-/// from pool workers and rank threads never contend on one cache line;
-/// readers aggregate all shards on snapshot.
+/// from pool workers never contend on one cache line; readers aggregate
+/// all shards on snapshot.
 inline constexpr std::size_t kNumShards = 16;
 
 /// Stable shard index of the calling thread (assigned round-robin on

@@ -349,7 +349,7 @@ BisectResult bisect(const BisectConfig& config, ThreadPool& pool,
     pool.parallel_for(
         0, candidates.size(),
         [&](std::size_t i) { distances[i] = evaluator.evaluate(candidates[i]); },
-        /*grain=*/1, cancel);
+        cancel);
     check_cancel(cancel);
 
     std::size_t winner = candidates.size();
@@ -382,7 +382,7 @@ BisectResult bisect(const BisectConfig& config, ThreadPool& pool,
       [&](std::size_t i) {
         contributions[i] = evaluator.evaluate({result.minimal[i]});
       },
-      /*grain=*/1, cancel);
+      cancel);
   check_cancel(cancel);
 
   const auto by_match = wildcard_recvs_by_match(reference);

@@ -1,194 +1,109 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
-
-#include "support/error.hpp"
 
 namespace anacin {
 
 namespace {
 
 /// The pool whose worker_loop is executing on this thread, if any. Lets
-/// parallel_for detect re-entrant calls from its own workers, and lets
-/// enqueue route a worker's submissions to that worker's own deque.
+/// parallel_for detect re-entrant calls from its own workers.
 thread_local ThreadPool* t_worker_pool = nullptr;
-thread_local std::size_t t_worker_index = 0;
 
 }  // namespace
+
+/// One parallel_for call. Lives on the caller's stack until the caller
+/// has seen it closed and empty.
+struct ThreadPool::Job {
+  std::atomic<std::size_t> next;  // the cursor: next unclaimed index
+  std::size_t end;
+  const std::function<void(std::size_t)>& fn;
+  CancelToken* cancel;
+  /// Set by the first failing item so every unstarted one is skipped.
+  std::atomic<bool> failed{false};
+  std::exception_ptr error{};  // the first failure; guarded by mutex_
+  /// Guarded by mutex_: whether the job is still on jobs_, and how many
+  /// workers are inside run() for it.
+  bool open = true;
+  std::size_t active = 0;
+};
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  queues_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  stopping_.store(true, std::memory_order_release);
-  // Empty critical section: a worker between its predicate check and its
-  // wait would otherwise miss the notification forever.
-  { const std::lock_guard<std::mutex> lock(sleep_mutex_); }
-  sleep_cv_.notify_all();
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  work_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::enqueue(std::function<void()> item) {
-  ANACIN_CHECK(!stopping_.load(std::memory_order_acquire),
-               "submit on a stopping ThreadPool");
-  // A worker pushes to its own deque (the LIFO end it pops from); external
-  // threads spread load round-robin.
-  const std::size_t target =
-      t_worker_pool == this
-          ? t_worker_index
-          : next_queue_.fetch_add(1, std::memory_order_relaxed) %
-                queues_.size();
-  // Increment before the push: a concurrent pop decrements after taking
-  // an item, and must never see the count below the queued reality.
-  pending_.fetch_add(1, std::memory_order_release);
-  {
-    WorkerQueue& queue = *queues_[target];
-    const std::lock_guard<std::mutex> lock(queue.mutex);
-    queue.items.push_back(std::move(item));
+void ThreadPool::run(Job& job) {
+  while (!job.failed.load(std::memory_order_relaxed) &&
+         !(job.cancel != nullptr && job.cancel->cancelled())) {
+    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.end) return;
+    try {
+      job.fn(i);
+    } catch (...) {
+      job.failed.store(true, std::memory_order_relaxed);
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!job.error) job.error = std::current_exception();
+    }
   }
-  notify_one_sleeper();
 }
 
-void ThreadPool::notify_one_sleeper() {
-  // Lock-and-drop before notifying: pairs with the sleep predicate so a
-  // worker can never check `pending_`, decide to sleep, and then miss
-  // the wakeup for the item just pushed.
-  { const std::lock_guard<std::mutex> lock(sleep_mutex_); }
-  sleep_cv_.notify_one();
-}
-
-void ThreadPool::worker_loop(std::size_t index) {
+void ThreadPool::worker_loop() {
   t_worker_pool = this;
-  t_worker_index = index;
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    if (run_one_task(index)) continue;
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    sleep_cv_.wait(lock, [this] {
-      return stopping_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (stopping_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
-      return;  // stopping and every queue drained
+    work_cv_.wait(lock, [this] { return stopping_ || !jobs_.empty(); });
+    if (jobs_.empty()) return;  // stopping, and no caller is waiting
+    Job& job = *jobs_.front();
+    ++job.active;
+    lock.unlock();
+    run(job);
+    lock.lock();
+    --job.active;
+    // run() returned, so every index is claimed or the job is stopped:
+    // take it off the list so no other worker enters it.
+    if (job.open) {
+      job.open = false;
+      jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
     }
+    if (job.active == 0) done_cv_.notify_all();
   }
-}
-
-bool ThreadPool::run_one_task(std::size_t self) {
-  // Own deque first, newest item first: parallel_for chunks just pushed
-  // are still hot in this worker's cache.
-  {
-    WorkerQueue& queue = *queues_[self];
-    std::unique_lock<std::mutex> lock(queue.mutex);
-    if (!queue.items.empty()) {
-      std::function<void()> task = std::move(queue.items.back());
-      queue.items.pop_back();
-      lock.unlock();
-      pending_.fetch_sub(1, std::memory_order_release);
-      task();
-      return true;
-    }
-  }
-  // Empty: raid the other workers, oldest items first, half the queue per
-  // steal so one raid rebalances a lopsided pool. The loot moves through
-  // a local buffer — never hold two queue mutexes at once (two workers
-  // stealing from each other would deadlock on the lock pair).
-  const std::size_t num_queues = queues_.size();
-  for (std::size_t offset = 1; offset < num_queues; ++offset) {
-    WorkerQueue& victim = *queues_[(self + offset) % num_queues];
-    std::deque<std::function<void()>> loot;
-    {
-      const std::lock_guard<std::mutex> lock(victim.mutex);
-      if (victim.items.empty()) continue;
-      std::size_t take = (victim.items.size() + 1) / 2;
-      while (take-- > 0) {
-        loot.push_back(std::move(victim.items.front()));
-        victim.items.pop_front();
-      }
-    }
-    std::function<void()> task = std::move(loot.front());
-    loot.pop_front();
-    if (!loot.empty()) {
-      const std::lock_guard<std::mutex> lock(queues_[self]->mutex);
-      for (auto& item : loot) {
-        queues_[self]->items.push_back(std::move(item));
-      }
-    }
-    pending_.fetch_sub(1, std::memory_order_release);
-    task();
-    return true;
-  }
-  return false;
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& fn,
-                              std::size_t grain, CancelToken* cancel) {
+                              CancelToken* cancel) {
   if (begin >= end) return;
-  grain = std::max<std::size_t>(1, grain);
-
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  // Set by the first failing item so every not-yet-started item is skipped
-  // instead of executed uselessly (fail-fast degradation).
-  std::atomic<bool> error_cancel{false};
-  const auto stop_requested = [&] {
-    return error_cancel.load(std::memory_order_relaxed) ||
-           (cancel != nullptr && cancel->cancelled());
-  };
-  std::vector<std::future<void>> chunks;
-  chunks.reserve((end - begin + grain - 1) / grain);
-
-  for (std::size_t chunk_begin = begin; chunk_begin < end;
-       chunk_begin += grain) {
-    const std::size_t chunk_end = std::min(end, chunk_begin + grain);
-    chunks.push_back(submit([&, chunk_begin, chunk_end] {
-      try {
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          if (stop_requested()) return;
-          fn(i);
-        }
-      } catch (...) {
-        error_cancel.store(true, std::memory_order_relaxed);
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }));
-  }
+  Job job{.next{begin}, .end = end, .fn = fn, .cancel = cancel};
   if (t_worker_pool == this) {
-    // Re-entrant call from one of our own workers. Blocking here could
-    // deadlock: with every worker waiting, the chunks just submitted would
-    // never be scheduled. Help drain — own deque first, then steals —
-    // until our chunks finish; drained tasks may belong to other callers,
-    // which only speeds them up.
-    for (auto& chunk : chunks) {
-      while (chunk.wait_for(std::chrono::seconds(0)) !=
-             std::future_status::ready) {
-        if (!run_one_task(t_worker_index)) std::this_thread::yield();
-      }
-    }
+    // Re-entrant call from one of our own workers. Waiting here could
+    // deadlock a pool whose every worker waits on a nested job, so this
+    // worker claims every index itself.
+    run(job);
   } else {
-    for (auto& chunk : chunks) chunk.wait();
+    std::unique_lock<std::mutex> lock(mutex_);
+    jobs_.push_back(&job);
+    work_cv_.notify_all();
+    // Closed means no worker can enter; active == 0 means none is
+    // inside, so no item of this job is still running.
+    done_cv_.wait(lock, [&job] { return !job.open && job.active == 0; });
   }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-ThreadPool& global_pool() {
-  static ThreadPool pool;
-  return pool;
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 }  // namespace anacin

@@ -3,22 +3,18 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace anacin {
 
-/// Cooperative cancellation flag shared between a controller (a SIGINT
-/// handler, a fail-fast error path) and workers. `cancel()` is a single
-/// lock-free atomic store, so it is safe to call from a signal handler.
-/// Workers poll `cancelled()` between work items; in-flight items always
-/// run to completion — cancellation skips *unstarted* work only.
+/// Cooperative cancellation flag shared between a controller (the
+/// SIGINT/SIGTERM handler) and workers. `cancel()` is a single lock-free
+/// atomic store, so it is safe to call from a signal handler. Workers
+/// poll `cancelled()` between work items; in-flight items always run to
+/// completion — cancellation skips *unstarted* work only.
 class CancelToken {
 public:
   void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
@@ -31,22 +27,14 @@ private:
   std::atomic<bool> cancelled_{false};
 };
 
-/// Work-stealing worker pool used to parallelize independent simulation
-/// runs and pairwise kernel-distance computations.
+/// Worker pool that runs `parallel_for` loops over independent items:
+/// simulation runs, feature extractions, pairwise kernel distances and
+/// bisect candidates. Every item writes only its own slot, so which
+/// worker runs which index is never observable in the results.
 ///
-/// Each worker owns a deque: it pushes and pops its own work at the back
-/// (LIFO — hot in cache, and a worker's parallel_for chunks stay local),
-/// and steals from other workers' fronts when idle, taking half the
-/// victim's queue per steal so one raid rebalances instead of trickling
-/// items one by one. External submitters round-robin across the queues.
-/// The single-mutex/single-deque design this replaced serialized every
-/// push and pop through one lock, which became the bottleneck once the
-/// batched kernel engine shrank task bodies to microseconds.
-///
-/// Work items are type-erased `std::function<void()>`; `submit` wraps a
-/// callable in a packaged_task and returns its future. The pool is
-/// non-copyable and joins its workers on destruction (any queued work is
-/// drained first).
+/// Each call is one job on a short list with an atomic cursor; workers
+/// claim the next index with one `fetch_add`. The pool is non-copyable
+/// and joins its workers on destruction.
 class ThreadPool {
 public:
   /// `num_threads == 0` selects std::thread::hardware_concurrency()
@@ -59,64 +47,40 @@ public:
 
   std::size_t size() const { return workers_.size(); }
 
-  template <typename F>
-  auto submit(F&& task) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto packaged =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(task));
-    std::future<R> result = packaged->get_future();
-    enqueue([packaged] { (*packaged)(); });
-    return result;
-  }
-
   /// Run fn(i) for i in [begin, end) across the pool and wait for
-  /// completion. Work is chunked to limit queue overhead.
+  /// completion. An external caller only waits, so at most size() items
+  /// run at once — the width at which `--isolate=process` spawns worker
+  /// children and `serve` dispatches units. Any number of external
+  /// threads may call concurrently; their jobs queue on the pool.
   ///
-  /// Fail-fast: the first exception thrown by any item cancels the
-  /// remaining *unstarted* items (in-flight ones finish), and is rethrown
-  /// after all scheduled work has drained. An optional external
-  /// CancelToken skips unstarted items the same way without being an
-  /// error — parallel_for returns normally and the caller inspects the
-  /// token (used for SIGINT draining).
+  /// Fail-fast: the first exception thrown by any item skips the
+  /// remaining *unstarted* items, and is rethrown once every in-flight
+  /// item has finished. An optional external CancelToken skips unstarted
+  /// items the same way without being an error — parallel_for returns
+  /// normally (again after in-flight items finish) and the caller
+  /// inspects the token (used for SIGINT draining).
   ///
-  /// Safe to call from inside a pool task: the calling worker then helps
-  /// drain its own queue (and steals) instead of blocking on its own
-  /// chunks (blocking would deadlock a pool whose every worker waits on
-  /// queued work).
+  /// Safe to call from inside an item: a worker runs the nested loop
+  /// itself instead of waiting on workers that may all be waiting too.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn,
-                    std::size_t grain = 1, CancelToken* cancel = nullptr);
+                    CancelToken* cancel = nullptr);
 
 private:
-  /// One worker's deque. Guarded by a plain mutex: pushes and pops are
-  /// almost always uncontended (only steals touch another worker's
-  /// queue), and a mutex keeps the scheduler trivially TSan-clean.
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> items;
-  };
+  struct Job;
 
-  void enqueue(std::function<void()> item);
-  void worker_loop(std::size_t index);
-  /// Pop one task from `self`'s queue — or steal half of some victim's —
-  /// and run it. False if every queue was empty.
-  bool run_one_task(std::size_t self);
-  void notify_one_sleeper();
+  void worker_loop();
+  /// Claim and run `job`'s indices until none is left or it is stopped.
+  void run(Job& job);
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
+  std::mutex mutex_;
+  std::condition_variable work_cv_;  // a job was posted, or stopping_
+  std::condition_variable done_cv_;  // a worker left a job
+  /// Jobs with unclaimed indices, oldest first. Guarded by mutex_.
+  std::vector<Job*> jobs_;
+  bool stopping_ = false;  // guarded by mutex_
+  /// Last, so the members the workers use outlive them.
   std::vector<std::thread> workers_;
-  /// Tasks enqueued but not yet started. The sleep predicate: workers
-  /// doze only when this is zero, so a task stuck in a remote queue
-  /// always has an awake worker able to steal it.
-  std::atomic<std::size_t> pending_{0};
-  /// Round-robin cursor for external (non-worker) submits.
-  std::atomic<std::size_t> next_queue_{0};
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  std::atomic<bool> stopping_{false};
 };
-
-/// Process-wide default pool (lazily constructed).
-ThreadPool& global_pool();
 
 }  // namespace anacin

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -41,6 +42,22 @@ TEST(TcpListener, ClosedListenerStopsAccepting) {
   TcpListener listener("127.0.0.1", 0);
   listener.close();
   EXPECT_EQ(listener.accept(50), nullptr);
+}
+
+TEST(TcpListener, CloseFromAnotherThreadWakesBlockedAccept) {
+  // The scheduler's destructor closes its listener while the acceptor
+  // thread waits in accept(); that wait must end at once, not at its
+  // timeout.
+  TcpListener listener("127.0.0.1", 0);
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    listener.close();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(listener.accept(5000), nullptr);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  closer.join();
+  EXPECT_LT(waited, std::chrono::seconds(1));
 }
 
 TEST(TcpConnection, ConnectToDeadPortThrowsIoError) {
