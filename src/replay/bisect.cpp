@@ -10,7 +10,6 @@
 
 #include "graph/event_graph.hpp"
 #include "graph/slicing.hpp"
-#include "kernels/distance_matrix.hpp"
 #include "kernels/kernel.hpp"
 #include "obs/obs.hpp"
 #include "proc/worker_main.hpp"
@@ -54,18 +53,21 @@ class CandidateEvaluator {
                      const store::Digest& reference_key,
                      const store::Digest& schedule_key,
                      const kernels::FeatureVector& reference_features)
-      : config_(config),
-        supervisor_(supervisor),
+      : supervisor_(supervisor),
         executor_(executor),
         store_(store),
         schedule_(schedule),
-        reference_key_(reference_key),
-        schedule_key_(schedule_key),
         reference_features_(reference_features),
         kernel_(kernels::make_kernel(config.kernel_spec)) {
-    replay_sim_ = config.record_sim;
-    replay_sim_.seed = config.replay_seed;
-    replay_sim_.replay = nullptr;
+    prototype_.pattern = config.pattern;
+    prototype_.shape = config.shape;
+    prototype_.sim = config.record_sim;
+    prototype_.sim.seed = config.replay_seed;
+    prototype_.sim.replay = nullptr;
+    prototype_.schedule = schedule_key;
+    prototype_.kernel_spec = config.kernel_spec;
+    prototype_.policy = config.label_policy;
+    prototype_.reference = reference_key;
   }
 
   /// Kernel distance between the reference and the replay with `freed`
@@ -76,11 +78,10 @@ class CandidateEvaluator {
       const auto it = memo_.find(freed);
       if (it != memo_.end()) return it->second;
     }
-    const std::string label = candidate_label(freed);
-    const std::string unit = "replay:" + label;
+    const std::string unit = "replay:" + candidate_label(freed);
     double distance = 0.0;
     const core::UnitReport report =
-        supervisor_.run(unit, [&] { distance = compute(label, freed); });
+        supervisor_.run(unit, [&] { distance = compute(unit, freed); });
     if (!report.ok) {
       // Candidate distances are load-bearing (they steer the search), so
       // a unit that stays failed after retries aborts the bisection.
@@ -97,81 +98,42 @@ class CandidateEvaluator {
   }
 
  private:
-  /// Distance, then features, then run, then simulate: each step runs only
-  /// when the store (if any) misses the one before.
-  double compute(const std::string& label,
+  /// The candidate's distance, from the store or from one replay. Only the
+  /// distance is stored: nothing reads a candidate's run or features back.
+  double compute(const std::string& unit,
                  const std::vector<std::size_t>& freed) {
     candidates_.fetch_add(1, std::memory_order_relaxed);
     obs::counter("replay.bisect_candidates").add(1);
-    const store::Digest replay_key = store::ArtifactStore::replay_run_key(
-        config_.pattern, config_.shape, replay_sim_, schedule_key_, freed);
-    const store::Digest distance_key = store::ArtifactStore::distance_key(
-        config_.kernel_spec, config_.label_policy, reference_key_,
-        replay_key);
-    if (store_ != nullptr) {
-      if (const auto hit = store_->load_distance(distance_key)) return *hit;
+    proc::ReplayCandidate candidate = prototype_;
+    candidate.freed = freed;
+    if (executor_ == nullptr) {
+      support::faults::on_unit_body(unit);
+      return proc::load_or_replay_distance(store_, candidate, *kernel_,
+                                           schedule_, reference_features_);
     }
-
-    if (executor_ != nullptr) {
-      // The worker/agent simulates the replay and publishes the run, then
-      // a pair unit publishes the distance; the driver reads both back
-      // through the store, so isolated and distributed bisections are
-      // byte-identical to in-process ones.
-      const std::string replay_unit = "replay:" + label;
-      executor_->execute(
-          replay_unit,
-          proc::make_replay_request(replay_unit, config_.pattern,
-                                    config_.shape, replay_sim_,
-                                    schedule_key_, freed));
-      const std::string pair_unit = "pair:reference-" + label;
-      executor_->execute(
-          pair_unit,
-          proc::make_pair_request(pair_unit, config_.kernel_spec,
-                                  config_.label_policy, reference_key_,
-                                  replay_key));
-      const auto distance = store_->load_distance(distance_key);
-      if (!distance) {
-        throw TransientError(
-            "bisect: executor reported candidate " + label +
-            " done but the distance artifact is missing from the store");
-      }
-      return *distance;
+    // The worker or agent replays the candidate and publishes its
+    // distance; the driver reads it back through the store, so isolated
+    // bisections are byte-identical to in-process ones.
+    const store::Digest key = candidate.distance_key();
+    if (const auto hit = store_->load_distance(key)) return *hit;
+    executor_->execute(unit, proc::make_replay_request(unit, candidate));
+    const auto distance = store_->load_distance(key);
+    if (!distance) {
+      throw TransientError(
+          "bisect: executor reported candidate " + unit +
+          " done but the distance artifact is missing from the store");
     }
-
-    support::faults::on_unit_body("replay:" + label);
-    graph::EventGraph replay;
-    const kernels::FeatureVector features = proc::load_or_extract_features(
-        store_, *kernel_, config_.kernel_spec, config_.label_policy,
-        replay_key, [&]() -> const graph::EventGraph& {
-          sim::ReplaySchedule candidate = schedule_;
-          for (const std::size_t index : freed) {
-            ANACIN_CHECK(candidate.free_entry(index),
-                         "bisect: freed index " << index << " out of range");
-          }
-          sim::SimConfig sim_config = replay_sim_;
-          sim_config.replay = &candidate;
-          replay = proc::load_or_simulate_run(store_, replay_key,
-                                              config_.pattern, config_.shape,
-                                              sim_config)
-                       .graph;
-          return replay;
-        });
-    const double distance =
-        kernels::counted_distance(reference_features_, features);
-    if (store_ != nullptr) store_->save_distance(distance_key, distance);
-    return distance;
+    return *distance;
   }
 
-  const BisectConfig& config_;
   const core::Supervisor& supervisor_;
   proc::UnitExecutor* executor_;
   store::ArtifactStore* store_;
   const sim::ReplaySchedule& schedule_;
-  const store::Digest reference_key_;
-  const store::Digest schedule_key_;
   const kernels::FeatureVector& reference_features_;
   std::unique_ptr<kernels::GraphKernel> kernel_;
-  sim::SimConfig replay_sim_;
+  /// Every field of a candidate but its freed set.
+  proc::ReplayCandidate prototype_;
 
   std::mutex memo_mutex_;
   std::map<std::vector<std::size_t>, double> memo_;

@@ -81,10 +81,12 @@ struct BisectResult {
 
 /// Record + delta-debug + rank. Candidate replays are campaign-style work
 /// units: each runs under the supervisor (retries, deadlines, injected
-/// faults), results are content-addressed store artifacts when a store is
-/// active (warm re-runs evaluate zero simulations), and an optional
-/// UnitExecutor farms them to worker children (`--isolate=process`) or an
-/// `anacin serve` fleet. `cancel` aborts between rounds (SIGINT).
+/// faults). With a store active, a candidate stores only its distance, so
+/// a warm re-run evaluates zero simulations; the reference run, its
+/// schedule and its features are the only other objects a bisection
+/// stores. An optional UnitExecutor (the `--isolate=process` worker pool)
+/// runs each candidate as one `replay` unit. `cancel` aborts between
+/// rounds (SIGINT).
 ///
 /// Throws Error subclasses on unrecoverable failures (a candidate that
 /// fails permanently aborts the bisection — its distance is load-bearing).

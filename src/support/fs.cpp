@@ -117,18 +117,25 @@ void atomic_write_file(const std::string& path, const std::string& content,
     throw IoError("injected open failure (fault plan) for '" + path + "'");
   }
 
-  // The final rename is the single atomic commit point.
-  const fs::path temp = unique_temp_path(file_path);
+  // Only a regular file (or nothing) is replaced by rename: renaming over
+  // a FIFO, a device or a symlink would swap it for a regular file. One
+  // lstat decides; anything else is written through in place.
+  const fs::file_type type = fs::symlink_status(file_path, ec).type();
+  const bool in_place = type != fs::file_type::none &&
+                        type != fs::file_type::not_found &&
+                        type != fs::file_type::regular;
+  // Otherwise the final rename is the single atomic commit point.
+  const fs::path target = in_place ? file_path : unique_temp_path(file_path);
 
   {
-    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+    std::ofstream out(target, std::ios::binary | std::ios::trunc);
     if (!out.good()) {
-      throw IoError("cannot open '" + temp.string() + "' for writing");
+      throw IoError("cannot open '" + target.string() + "' for writing");
     }
     if (fault.kind == Kind::kEnospc || fault.kind == Kind::kEio) {
       // Simulate a disk filling (or dying) mid-write: a partial temp file
       // is left on disk (as a real crash would leave) and the destination
-      // stays untouched.
+      // stays untouched, unless it is written in place.
       out << content.substr(0, content.size() / 2);
       out.flush();
       throw IoError(std::string("injected ") +
@@ -139,27 +146,31 @@ void atomic_write_file(const std::string& path, const std::string& content,
     out.flush();
     if (!out.good()) {
       out.close();
-      fs::remove(temp, ec);
+      if (!in_place) fs::remove(target, ec);
       throw IoError("short write for '" + path + "' (disk full?)");
     }
   }
 
-  const bool durable = durability_level() != Durability::kNone;
-  if (durable && !fault.drop_fsync) fsync_path(temp, /*is_directory=*/false);
+  if (!in_place) {
+    const bool durable = durability_level() != Durability::kNone;
+    if (durable && !fault.drop_fsync) {
+      fsync_path(target, /*is_directory=*/false);
+    }
 
-  if (fault.kind == Kind::kRenameFail) {
-    // The fully written temp stays behind — exactly the litter the
-    // stale-temp sweeper exists for.
-    throw IoError("injected rename failure (fault plan) publishing '" +
-                  path + "'");
-  }
-  fs::rename(temp, file_path, ec);
-  if (ec) {
-    fs::remove(temp, ec);
-    throw IoError("cannot publish '" + path + "': rename failed");
-  }
-  if (durable && !fault.drop_fsync && file_path.has_parent_path()) {
-    fsync_path(file_path.parent_path(), /*is_directory=*/true);
+    if (fault.kind == Kind::kRenameFail) {
+      // The fully written temp stays behind — exactly the litter the
+      // stale-temp sweeper exists for.
+      throw IoError("injected rename failure (fault plan) publishing '" +
+                    path + "'");
+    }
+    fs::rename(target, file_path, ec);
+    if (ec) {
+      fs::remove(target, ec);
+      throw IoError("cannot publish '" + path + "': rename failed");
+    }
+    if (durable && !fault.drop_fsync && file_path.has_parent_path()) {
+      fsync_path(file_path.parent_path(), /*is_directory=*/true);
+    }
   }
   g_write_count.fetch_add(1, std::memory_order_relaxed);
   faults::note_durable_commit(path_class);

@@ -55,11 +55,17 @@ std::filesystem::path unique_temp_path(const std::filesystem::path& path);
 /// survives power loss, not just a process crash (docs/RESILIENCE.md,
 /// "Durability model").
 ///
+/// Only an absent or regular-file destination is replaced that way. A
+/// destination that one lstat shows is anything else (a FIFO, a device, a
+/// symlink) is opened and written in place, with no rename and no fsync,
+/// so it stays what it was and its reader or target gets the bytes.
+///
 /// Fault injection: every call draws one disk decision from the installed
 /// fault plan (support/fault_plan.hpp) under `path_class`. Injected
 /// failures throw IoError and leave the same on-disk shapes real faults
-/// would: enospc/eio leave a partial temp, rename_fail leaves a complete
-/// temp, open_fail leaves nothing.
+/// would: enospc/eio leave a partial temp (a partial destination when
+/// written in place), rename_fail leaves a complete temp (an in-place
+/// write has no rename to fail), open_fail leaves nothing.
 ///
 /// Parent directories are created as needed. Throws IoError on any
 /// failure.

@@ -1,16 +1,22 @@
 // Campaign-level isolation tests: --isolate=process must change *where*
-// work executes, never *what* it computes — isolated campaigns are
-// byte-identical to in-process ones — and child deaths must surface as
-// quarantined units with full crash triage in the report JSON.
+// work executes, never *what* it computes — isolated campaigns and
+// bisections are byte-identical to in-process ones — and child deaths must
+// surface as quarantined units with full crash triage in the report JSON.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <map>
+#include <mutex>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "core/campaign.hpp"
+#include "proc/worker_main.hpp"
 #include "proc/worker_pool.hpp"
+#include "replay/bisect.hpp"
 #include "store/store.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
@@ -44,6 +50,57 @@ CampaignConfig small_campaign(std::uint64_t base_seed) {
   config.shape.iterations = 2;
   config.num_runs = 4;
   config.base_seed = base_seed;
+  return config;
+}
+
+/// Installs `store` as the active store (bisect reads it from there) and
+/// uninstalls it on scope exit, also when the bisection throws.
+class ActiveStore {
+ public:
+  explicit ActiveStore(store::ArtifactStore& store) {
+    store::set_active_store(&store);
+  }
+  ~ActiveStore() { store::set_active_store(nullptr); }
+  ActiveStore(const ActiveStore&) = delete;
+  ActiveStore& operator=(const ActiveStore&) = delete;
+};
+
+/// Forwards every unit to `inner` and records the ids it was asked to run.
+class RecordingExecutor : public proc::UnitExecutor {
+ public:
+  explicit RecordingExecutor(proc::UnitExecutor& inner) : inner_(inner) {}
+
+  json::Value execute(const std::string& unit_id,
+                      const json::Value& request) override {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      units_.push_back(unit_id);
+    }
+    return inner_.execute(unit_id, request);
+  }
+
+  std::vector<std::string> units() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return units_;
+  }
+
+ private:
+  proc::UnitExecutor& inner_;
+  mutable std::mutex mutex_;
+  std::vector<std::string> units_;
+};
+
+/// message_race at full non-determinism: rank 0's receives are all
+/// wildcards, so there is a gap to bisect.
+replay::BisectConfig small_bisect() {
+  replay::BisectConfig config;
+  config.pattern = "message_race";
+  config.shape.num_ranks = 6;
+  config.shape.iterations = 1;
+  config.record_sim.num_ranks = 6;
+  config.record_sim.seed = 11;
+  config.record_sim.network.nd_fraction = 1.0;
+  config.replay_seed = 777;
   return config;
 }
 
@@ -95,6 +152,78 @@ TEST_F(IsolatedCampaignTest, MatchesInProcessCampaignByteIdentically) {
   const CampaignResult warm =
       run_campaign(config, pool, &iso_store, resilience);
   EXPECT_EQ(warm.to_json().dump(), plain.to_json().dump());
+}
+
+TEST_F(IsolatedCampaignTest, BisectionMatchesInProcessWithOneUnitPerCandidate) {
+  ThreadPool pool(2);
+  const replay::BisectConfig config = small_bisect();
+
+  store::ArtifactStore plain_store({dir_ / "store-a"});
+  std::string plain_json;
+  std::map<std::string, std::uint64_t> plain_kinds;
+  {
+    const ActiveStore active(plain_store);
+    plain_json =
+        replay::bisect_to_json(config, replay::bisect(config, pool)).dump();
+    plain_kinds = plain_store.objects().stats().kind_counts;
+  }
+
+  store::ArtifactStore iso_store({dir_ / "store-b"});
+  proc::WorkerPool workers(pool_config("store-b"));
+  RecordingExecutor cold_executor(workers);
+  const ActiveStore active(iso_store);
+  const replay::BisectResult isolated =
+      replay::bisect(config, pool, &cold_executor);
+
+  // Same bytes, and the same objects left behind: the reference run, its
+  // schedule and features, and one distance per candidate.
+  EXPECT_EQ(replay::bisect_to_json(config, isolated).dump(), plain_json);
+  EXPECT_EQ(iso_store.objects().stats().kind_counts, plain_kinds);
+  EXPECT_EQ(plain_kinds.at("distances"), isolated.candidates);
+
+  // Each candidate is one `replay` unit, dispatched once.
+  const std::vector<std::string> units = cold_executor.units();
+  EXPECT_EQ(units.size(), isolated.candidates);
+  EXPECT_EQ(std::set<std::string>(units.begin(), units.end()).size(),
+            units.size());
+  for (const std::string& unit : units) {
+    EXPECT_EQ(unit.rfind("replay:", 0), 0u) << unit;
+  }
+
+  // A warm isolated re-run answers every candidate from the parent's store.
+  RecordingExecutor warm_executor(workers);
+  const replay::BisectResult warm =
+      replay::bisect(config, pool, &warm_executor);
+  EXPECT_EQ(replay::bisect_to_json(config, warm).dump(), plain_json);
+  EXPECT_TRUE(warm_executor.units().empty());
+}
+
+TEST(ReplayRequest, ResultIsTheDistanceAndInputsAreScheduleAndFeatures) {
+  proc::ReplayCandidate candidate;
+  candidate.pattern = "message_race";
+  candidate.shape.num_ranks = 4;
+  candidate.sim.num_ranks = 4;
+  candidate.sim.seed = 9;
+  candidate.schedule = store::digest_string("schedule");
+  candidate.freed = {0, 2};
+  candidate.kernel_spec = "wl:2";
+  candidate.reference = store::digest_string("reference");
+
+  const json::Value request = proc::make_replay_request("replay:x", candidate);
+  const store::Digest replay_run = store::ArtifactStore::replay_run_key(
+      candidate.pattern, candidate.shape, candidate.sim, candidate.schedule,
+      candidate.freed);
+  EXPECT_EQ(request.at("result_key").as_string(),
+            store::ArtifactStore::distance_key(candidate.kernel_spec,
+                                               candidate.policy,
+                                               candidate.reference, replay_run)
+                .to_hex());
+  EXPECT_EQ(proc::unit_input_keys(request),
+            (std::vector<store::Digest>{
+                candidate.schedule,
+                store::ArtifactStore::features_key(candidate.kernel_spec,
+                                                   candidate.policy,
+                                                   candidate.reference)}));
 }
 
 TEST_F(IsolatedCampaignTest, IsolationRequiresAnArtifactStore) {

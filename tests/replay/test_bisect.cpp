@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <string>
 
 #include "obs/obs.hpp"
 #include "store/store.hpp"
@@ -102,18 +104,21 @@ TEST(Bisect, StoreBackedBisectionMatchesInProcessAndWarmRuns) {
   const BisectResult plain = bisect(config, pool);
 
   // Feature census: the cold bisection extracts each candidate replay's
-  // features and the reference's exactly once; the warm one loads them all.
+  // features and the reference's exactly once; the warm one answers every
+  // candidate from its stored distance.
   obs::Counter& feature_tasks = obs::counter("kernels.feature_tasks");
   BisectResult cold;
   BisectResult warm;
   std::uint64_t cold_extractions = 0;
   std::uint64_t warm_extractions = 0;
+  std::map<std::string, std::uint64_t> cold_kinds;
   {
     store::ArtifactStore artifact_store(store::ObjectStore::Config{root});
     store::set_active_store(&artifact_store);
     std::uint64_t before = feature_tasks.value();
     cold = bisect(config, pool);
     cold_extractions = feature_tasks.value() - before;
+    cold_kinds = artifact_store.objects().stats().kind_counts;
     before = feature_tasks.value();
     warm = bisect(config, pool);
     warm_extractions = feature_tasks.value() - before;
@@ -122,6 +127,12 @@ TEST(Bisect, StoreBackedBisectionMatchesInProcessAndWarmRuns) {
   fs::remove_all(root);
   EXPECT_EQ(cold_extractions, cold.candidates + 1);
   EXPECT_EQ(warm_extractions, 0u);
+  // A candidate stores only its distance: the reference run, its schedule
+  // and its features are the only other objects.
+  const std::map<std::string, std::uint64_t> expected_kinds = {
+      {"run", 1}, {"schedule", 1}, {"features", 1},
+      {"distances", cold.candidates}};
+  EXPECT_EQ(cold_kinds, expected_kinds);
 
   // Store-cached candidate replays produce the same bisection as direct
   // in-process evaluation, and a warm store changes nothing but the work.

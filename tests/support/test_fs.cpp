@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -102,6 +105,35 @@ TEST(AtomicWriteFile, FailedInjectionDoesNotCountAsSuccess) {
   const ScopedFaultPlan plan("disk.enospc=1");
   EXPECT_THROW(atomic_write_file(dir.path("f").string(), "x"), IoError);
   EXPECT_EQ(atomic_write_count(), before);
+}
+
+TEST(AtomicWriteFile, WritesThroughAFifoAndLeavesItAFifo) {
+  TempDir dir;
+  const fs::path fifo = dir.path("out.fifo");
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  // With a reader already open, the writer's open returns at once; a write
+  // that bypasses the FIFO leaves this non-blocking read empty, not hung.
+  const int reader = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(reader, 0);
+  atomic_write_file(fifo.string(), "through the pipe");
+  char buffer[64];
+  const ssize_t got = ::read(reader, buffer, sizeof(buffer));
+  ::close(reader);
+  EXPECT_EQ(std::string(buffer, static_cast<std::size_t>(std::max<ssize_t>(
+                                    got, 0))),
+            "through the pipe");
+  EXPECT_TRUE(fs::is_fifo(fs::symlink_status(fifo)));
+}
+
+TEST(AtomicWriteFile, WritesThroughASymlinkAndLeavesItASymlink) {
+  TempDir dir;
+  const fs::path target = dir.path("target.json");
+  const fs::path link = dir.path("link.json");
+  atomic_write_file(target.string(), "the target's old, longer bytes");
+  fs::create_symlink(target, link);
+  atomic_write_file(link.string(), "new bytes");
+  EXPECT_TRUE(fs::is_symlink(fs::symlink_status(link)));
+  EXPECT_EQ(slurp(target), "new bytes");
 }
 
 /// Fault-plan-driven fs tests install a process-global plan, so every one
