@@ -11,10 +11,11 @@ namespace anacin::proc {
 /// unit in a sandboxed fork/exec'd child on this machine
 /// (--isolate=process), and net::AgentServer farms it to a remote
 /// `anacin agent` over TCP (`anacin serve`). Both speak the same work-unit
-/// request JSON (make_run_request / make_pair_request) and both make the
-/// unit's result artifact appear in the campaign's content-addressed store
-/// before execute() returns — which is what keeps local, isolated, and
-/// distributed campaigns byte-identical.
+/// request JSON (make_run_request / make_pair_request /
+/// make_replay_request) and both make the unit's result artifact appear
+/// in the campaign's content-addressed store before execute() returns —
+/// which is what keeps local, isolated, and distributed campaigns
+/// byte-identical.
 class UnitExecutor {
  public:
   virtual ~UnitExecutor() = default;
