@@ -43,11 +43,11 @@ int main(int argc, const char** argv) {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
             .count();
+    const std::uint64_t messages_per_run =
+        result.total_messages / static_cast<std::uint64_t>(config.num_runs);
     std::cout << pad_right(std::to_string(ranks), 7)
               << pad_left(format_fixed(result.distance_summary.median, 2), 13)
-              << pad_left(std::to_string(result.total_messages /
-                                         result.graphs.size()),
-                          10)
+              << pad_left(std::to_string(messages_per_run), 10)
               << pad_left(format_fixed(elapsed_ms, 0), 13) << '\n';
     distance_curve.push_back(
         {static_cast<double>(ranks), result.distance_summary.median});

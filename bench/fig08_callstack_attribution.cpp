@@ -32,13 +32,14 @@ int main(int argc, const char** argv) {
   config.shape.num_ranks = ranks;
   config.nd_fraction = 1.0;
   config.num_runs = runs;
-  const core::CampaignResult campaign = core::run_campaign(config, pool);
+  std::vector<graph::EventGraph> graphs;
+  core::run_campaign(config, pool, store::active_store(), {}, &graphs);
 
   const auto kernel = kernels::make_kernel(config.kernel);
   analysis::RootCauseConfig root_config;
   root_config.slice_window = static_cast<std::uint64_t>(slice_window);
   const analysis::RootCauseReport report = analysis::find_root_causes(
-      *kernel, config.label_policy, campaign.graphs, root_config, pool);
+      *kernel, config.label_policy, graphs, root_config, pool);
 
   std::cout << "high-ND slices (window " << slice_window << "): ";
   for (const std::size_t s : report.hot_slices) std::cout << s << ' ';

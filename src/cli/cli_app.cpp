@@ -598,9 +598,10 @@ int cmd_measure(const std::vector<const char*>& argv, std::ostream& out) {
       core::run_campaign(config, pool, store::active_store(),
                          resilience.options(workers.get()));
   print_summary(out, workload.pattern, result.distance_summary);
-  out << "messages/run=" << result.total_messages / result.graphs.size()
-      << " wildcard recvs/run="
-      << result.total_wildcard_recvs / result.graphs.size() << '\n';
+  const auto num_runs = static_cast<std::uint64_t>(config.num_runs);
+  out << "messages/run=" << result.total_messages / num_runs
+      << " wildcard recvs/run=" << result.total_wildcard_recvs / num_runs
+      << '\n';
   if (config.faults.enabled()) {
     out << "faults: drops=" << result.total_drops
         << " duplicates=" << result.total_duplicates
@@ -1024,13 +1025,14 @@ int cmd_rootcause(const std::vector<const char*>& argv, std::ostream& out) {
   ThreadPool pool;
   const core::CampaignConfig config =
       workload.campaign(runs, "wl:2", "type_peer");
-  const core::CampaignResult campaign = core::run_campaign(config, pool);
+  std::vector<graph::EventGraph> graphs;
+  core::run_campaign(config, pool, store::active_store(), {}, &graphs);
   analysis::RootCauseConfig root_config;
   root_config.slice_window = static_cast<std::uint64_t>(slice_window);
   root_config.hot_fraction = hot_fraction;
   const auto kernel = kernels::make_kernel(config.kernel);
   const analysis::RootCauseReport report = analysis::find_root_causes(
-      *kernel, config.label_policy, campaign.graphs, root_config, pool);
+      *kernel, config.label_policy, graphs, root_config, pool);
 
   if (report.callstacks.empty()) {
     out << "no divergence found — the application appears deterministic at "
@@ -1256,8 +1258,11 @@ int cmd_report(const std::vector<const char*>& argv, std::ostream& out) {
   ThreadPool pool;
   const core::CampaignConfig config =
       workload.campaign(runs, "wl:2", "type_peer");
-  const core::CampaignResult campaign = core::run_campaign(config, pool);
+  std::vector<graph::EventGraph> graphs;
+  const core::CampaignResult campaign =
+      core::run_campaign(config, pool, store::active_store(), {}, &graphs);
   const auto kernel = kernels::make_kernel(config.kernel);
+  const auto num_runs = static_cast<std::uint64_t>(config.num_runs);
 
   core::HtmlReport report("Non-determinism analysis: " + workload.pattern);
   report.add_paragraph(
@@ -1276,11 +1281,9 @@ int cmd_report(const std::vector<const char*>& argv, std::ostream& out) {
        format_fixed(campaign.distance_summary.median, 3)},
       {"max kernel distance",
        format_fixed(campaign.distance_summary.max, 3)},
-      {"messages per run",
-       std::to_string(campaign.total_messages / campaign.graphs.size())},
+      {"messages per run", std::to_string(campaign.total_messages / num_runs)},
       {"wildcard receives per run",
-       std::to_string(campaign.total_wildcard_recvs /
-                      campaign.graphs.size())},
+       std::to_string(campaign.total_wildcard_recvs / num_runs)},
   });
 
   report.add_heading("Kernel-distance distribution");
@@ -1296,7 +1299,7 @@ int cmd_report(const std::vector<const char*>& argv, std::ostream& out) {
       std::to_string(runs) + " executions vs a jitter-free reference run");
 
   report.add_heading("One execution, visualized");
-  const graph::EventGraph& sample = campaign.graphs.front();
+  const graph::EventGraph& sample = graphs.front();
   if (sample.num_nodes() <= 400) {
     report.add_figure(viz::render_event_graph(sample),
                       "event graph of the first sampled run");
@@ -1309,7 +1312,7 @@ int cmd_report(const std::vector<const char*>& argv, std::ostream& out) {
 
   report.add_heading("Where the runs diverge (root-cause analysis)");
   const analysis::RootCauseReport causes = analysis::find_root_causes(
-      *kernel, config.label_policy, campaign.graphs, {}, pool);
+      *kernel, config.label_policy, graphs, {}, pool);
   if (causes.callstacks.empty()) {
     report.add_paragraph(
         "No divergence detected: the application behaved deterministically "

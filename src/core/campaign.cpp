@@ -150,14 +150,12 @@ ReferenceMemo& reference_memo() {
 /// the memo without limit (graphs are a few MB each at paper scale).
 constexpr std::size_t kMaxReferenceMemoEntries = 64;
 
-/// Produce the reference event graph: memo, then the run producer (store,
-/// then simulate). Each unique reference key is simulated at most once per
-/// process (see the `campaign.reference_sims` counter).
+/// Produce the reference event graph (run key `key`): memo, then the run
+/// producer (store, then simulate). Each unique reference key is simulated
+/// at most once per process (see the `campaign.reference_sims` counter).
 std::shared_ptr<const graph::EventGraph> reference_graph(
-    const CampaignConfig& config, store::ArtifactStore* store) {
-  const sim::SimConfig sim_config = config.reference_sim_config();
-  const store::Digest key =
-      store::ArtifactStore::run_key(config.pattern, config.shape, sim_config);
+    const CampaignConfig& config, const store::Digest& key,
+    store::ArtifactStore* store) {
   const std::string hex = key.to_hex();
 
   ReferenceMemo& memo = reference_memo();
@@ -170,7 +168,8 @@ std::shared_ptr<const graph::EventGraph> reference_graph(
 
   bool simulated = false;
   store::EncodedRun run = proc::load_or_simulate_run(
-      store, key, config.pattern, config.shape, sim_config, &simulated);
+      store, key, config.pattern, config.shape, config.reference_sim_config(),
+      /*with_graph=*/true, &simulated);
   if (simulated) obs::counter("campaign.reference_sims").add(1);
   auto graph = std::make_shared<const graph::EventGraph>(std::move(run.graph));
 
@@ -189,14 +188,17 @@ std::shared_ptr<const graph::EventGraph> reference_graph(
 ///
 /// `runs` may be a subset of the campaign's runs (quarantined runs are
 /// excluded); `run_labels[i]` carries the original run index so pair work
-/// units keep stable ids. Each missing pair distance is a supervised work
-/// unit: with `keep_going`, a permanently failing pair is dropped from
-/// the sample and appended to `quarantined` instead of aborting.
+/// units keep stable ids. A null `runs[i]` is a run whose graph is still in
+/// its store object: it is loaded only if that run's features miss. With
+/// `workers` the children build every feature, and `reference` may be null.
+/// Each missing pair distance is a supervised work unit: with
+/// `keep_going`, a permanently failing pair is dropped from the sample and
+/// appended to `quarantined` instead of aborting.
 analysis::NdMeasurement measure_nd_with_store(
     const CampaignConfig& config,
     const std::vector<const graph::EventGraph*>& runs,
     const std::vector<store::Digest>& run_keys,
-    const std::vector<int>& run_labels, const graph::EventGraph& reference,
+    const std::vector<int>& run_labels, const graph::EventGraph* reference,
     const store::Digest& reference_key, ThreadPool& pool,
     store::ArtifactStore& store, const Supervisor& supervisor,
     bool keep_going, CancelToken* cancel,
@@ -270,12 +272,20 @@ analysis::NdMeasurement measure_nd_with_store(
         0, n + 1,
         [&](std::size_t i) {
           if (!need_features[i]) return;
-          // A resumed or re-kerneled campaign reloads each run's features
-          // instead of re-walking its graph.
+          // A re-run of an interrupted campaign or a switched --reduction
+          // loads each run's features instead of re-walking its graph.
+          graph::EventGraph loaded;
           features[i] = proc::load_or_extract_features(
               &store, *kernel, config.kernel, config.label_policy, key_of(i),
               [&]() -> const graph::EventGraph& {
-                return i == n ? reference : *runs[i];
+                if (i == n) return *reference;
+                if (runs[i] != nullptr) return *runs[i];
+                loaded = proc::load_or_simulate_run(
+                             &store, key_of(i), config.pattern, config.shape,
+                             config.sim_config_for_run(run_labels[i]),
+                             /*with_graph=*/true)
+                             .graph;
+                return loaded;
               });
         },
         cancel);
@@ -358,7 +368,8 @@ analysis::NdMeasurement measure_nd_with_store(
 
 CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
                             store::ArtifactStore* store,
-                            const ResilienceOptions& resilience) {
+                            const ResilienceOptions& resilience,
+                            std::vector<graph::EventGraph>* graphs) {
   ANACIN_SPAN("campaign.run");
   ANACIN_CHECK(config.num_runs >= 1, "campaign needs at least one run");
   ANACIN_CHECK(config.nd_fraction >= 0.0 && config.nd_fraction <= 1.0,
@@ -388,7 +399,11 @@ CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
 
   CampaignResult result;
   result.config = config;
-  result.graphs.resize(num_runs);
+  // A run's graph is kept only when this campaign simulated it or the
+  // caller asked for graphs; any other store hit decodes just the counters.
+  const bool with_graphs = graphs != nullptr;
+  std::vector<graph::EventGraph> run_graphs(num_runs);
+  std::vector<char> has_graph(num_runs, 0);
   std::vector<std::uint64_t> messages(num_runs);
   std::vector<std::uint64_t> wildcards(num_runs);
   std::vector<std::uint64_t> drops(num_runs);
@@ -420,9 +435,14 @@ CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
             } else {
               support::faults::on_unit_body(unit);
             }
+            bool simulated = false;
             store::EncodedRun run = proc::load_or_simulate_run(
-                store, run_keys[i], config.pattern, config.shape, sim_config);
-            result.graphs[i] = std::move(run.graph);
+                store, run_keys[i], config.pattern, config.shape, sim_config,
+                with_graphs, &simulated);
+            if (with_graphs || simulated) {
+              run_graphs[i] = std::move(run.graph);
+              has_graph[i] = 1;
+            }
             messages[i] = run.messages;
             wildcards[i] = run.wildcard_recvs;
             drops[i] = run.drops;
@@ -454,7 +474,7 @@ CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
            run_reports[i].attempts, run_reports[i].triage,
            run_reports[i].has_triage});
       obs::counter("resilience.runs_quarantined").add(1);
-      result.graphs[i] = graph::EventGraph{};
+      run_graphs[i] = graph::EventGraph{};
       messages[i] = wildcards[i] = drops[i] = duplicates[i] =
           stragglers[i] = 0;
     }
@@ -469,29 +489,37 @@ CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
     result.total_straggler_events += stragglers[i];
   }
 
+  const store::Digest reference_key = store::ArtifactStore::run_key(
+      config.pattern, config.shape, config.reference_sim_config());
+  std::shared_ptr<const graph::EventGraph> reference;
   {
     ANACIN_SPAN("campaign.reference_run");
     // The reference is the measurement baseline: a permanent failure here
     // is fatal even under keep-going (there is nothing to measure
     // against), but it still gets the supervisor's retries and deadline.
-    std::shared_ptr<const graph::EventGraph> reference;
     const UnitReport report = supervisor.run("reference", [&] {
       if (workers != nullptr) {
         workers->execute("reference",
                          proc::make_run_request("reference", config.pattern,
                                                 config.shape,
                                                 config.reference_sim_config()));
-      } else {
-        support::faults::on_unit_body("reference");
+        // The children build every feature, so the parent needs only the
+        // reference object, not its graph.
+        bool simulated = false;
+        proc::load_or_simulate_run(store, reference_key, config.pattern,
+                                   config.shape, config.reference_sim_config(),
+                                   /*with_graph=*/false, &simulated);
+        if (simulated) obs::counter("campaign.reference_sims").add(1);
+        return;
       }
-      reference = reference_graph(config, store);
+      support::faults::on_unit_body("reference");
+      reference = reference_graph(config, reference_key, store);
     });
     if (!report.ok) {
       throw PermanentError("work unit 'reference' failed after " +
                            std::to_string(report.attempts) +
                            " attempt(s): " + report.error);
     }
-    result.reference = *reference;
   }
   check_interrupt("reference run");
 
@@ -499,8 +527,6 @@ CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
     ANACIN_SPAN("campaign.measure");
     const bool subset = ok_runs.size() < num_runs;
     if (store != nullptr) {
-      const store::Digest reference_key = store::ArtifactStore::run_key(
-          config.pattern, config.shape, config.reference_sim_config());
       std::vector<const graph::EventGraph*> run_view;
       std::vector<store::Digest> key_view;
       std::vector<int> label_view;
@@ -508,24 +534,25 @@ CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
       key_view.reserve(ok_runs.size());
       label_view.reserve(ok_runs.size());
       for (const std::size_t i : ok_runs) {
-        run_view.push_back(&result.graphs[i]);
+        run_view.push_back(has_graph[i] ? &run_graphs[i] : nullptr);
         key_view.push_back(run_keys[i]);
         label_view.push_back(static_cast<int>(i));
       }
       result.measurement = measure_nd_with_store(
-          config, run_view, key_view, label_view, result.reference,
+          config, run_view, key_view, label_view, reference.get(),
           reference_key, pool, *store, supervisor, resilience.keep_going,
           cancel, &result.quarantined, workers);
     } else {
       // Without a store the batched kernels:: entry points do the work;
       // supervise the measurement as one unit (pair-level supervision is
-      // the store path's job).
-      const std::vector<graph::EventGraph>* run_set = &result.graphs;
+      // the store path's job). Every run was simulated, so every graph is
+      // in memory.
+      const std::vector<graph::EventGraph>* run_set = &run_graphs;
       std::vector<graph::EventGraph> surviving;
       if (subset) {
         surviving.reserve(ok_runs.size());
         for (const std::size_t i : ok_runs) {
-          surviving.push_back(result.graphs[i]);
+          surviving.push_back(run_graphs[i]);
         }
         run_set = &surviving;
       }
@@ -534,7 +561,7 @@ CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
         support::faults::on_unit_body("measure");
         result.measurement =
             analysis::measure_nd(*kernel, config.label_policy, *run_set,
-                                 &result.reference, config.reduction, pool);
+                                 reference.get(), config.reduction, pool);
       });
       if (!report.ok) {
         if (!resilience.keep_going) {
@@ -560,6 +587,7 @@ CampaignResult run_campaign(const CampaignConfig& config, ThreadPool& pool,
   if (!result.quarantined.empty()) {
     obs::counter("resilience.campaigns_partial").add(1);
   }
+  if (graphs != nullptr) *graphs = std::move(run_graphs);
   return result;
 }
 

@@ -87,15 +87,11 @@ struct QuarantinedUnit {
   json::Value to_json() const;
 };
 
-/// All runs of one campaign plus the kernel-distance measurement.
+/// The kernel-distance measurement of one campaign's runs and their
+/// aggregate counters (the runs' event graphs are run_campaign's optional
+/// output).
 struct CampaignResult {
   CampaignConfig config;
-  /// Event graphs of the `num_runs` noisy executions. Quarantined runs
-  /// leave their slot as an empty graph and are excluded from the
-  /// measurement.
-  std::vector<graph::EventGraph> graphs;
-  /// Jitter-free reference execution.
-  graph::EventGraph reference;
   analysis::NdMeasurement measurement;
   analysis::Summary distance_summary;
   /// Aggregate simulator counters over the noisy runs.
@@ -141,10 +137,16 @@ struct CampaignResult {
 /// unstarted units and rethrows. With `resilience.keep_going` the failed
 /// units are quarantined in the result instead and the campaign
 /// completes with the surviving runs.
+///
+/// `graphs`, when given, receives the event graphs of the `num_runs`
+/// noisy executions; a quarantined run leaves its slot an empty graph.
+/// Without it, a run found in the store is read for its counters only,
+/// and its graph is decoded only if its kernel features miss.
 CampaignResult run_campaign(
     const CampaignConfig& config, ThreadPool& pool,
     store::ArtifactStore* store = store::active_store(),
-    const ResilienceOptions& resilience = {});
+    const ResilienceOptions& resilience = {},
+    std::vector<graph::EventGraph>* graphs = nullptr);
 
 /// Convenience for single executions of a pattern.
 sim::RunResult run_pattern_once(const std::string& pattern,

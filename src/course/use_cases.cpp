@@ -141,12 +141,13 @@ UseCase3Result run_use_case_3(ThreadPool& pool, int procs, int runs,
   full_nd.shape.num_ranks = procs;
   full_nd.nd_fraction = 1.0;
   full_nd.num_runs = std::min(runs, 10);  // slices are pairwise: keep modest
-  const core::CampaignResult campaign = core::run_campaign(full_nd, pool);
+  std::vector<graph::EventGraph> graphs;
+  core::run_campaign(full_nd, pool, store::active_store(), {}, &graphs);
 
   const auto kernel = kernels::make_kernel(full_nd.kernel);
   analysis::RootCauseConfig root_config;
   result.root_causes = analysis::find_root_causes(
-      *kernel, full_nd.label_policy, campaign.graphs, root_config, pool);
+      *kernel, full_nd.label_policy, graphs, root_config, pool);
   if (!result.root_causes.callstacks.empty()) {
     const auto& top = result.root_causes.callstacks.front();
     result.wildcard_recv_attributed =

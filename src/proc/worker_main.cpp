@@ -72,7 +72,8 @@ json::Value execute_run(store::ArtifactStore& store,
 
   const store::Digest key =
       store::ArtifactStore::run_key(pattern, shape, sim_config);
-  load_or_simulate_run(&store, key, pattern, shape, sim_config);
+  load_or_simulate_run(&store, key, pattern, shape, sim_config,
+                       /*with_graph=*/false);
   return ok_reply(key);
 }
 
@@ -185,9 +186,11 @@ store::EncodedRun load_or_simulate_run(store::ArtifactStore* store,
                                        const std::string& pattern,
                                        const patterns::PatternConfig& shape,
                                        const sim::SimConfig& sim_config,
-                                       bool* simulated) {
+                                       bool with_graph, bool* simulated) {
   if (store != nullptr) {
-    if (auto cached = store->load_run(key)) return std::move(*cached);
+    if (auto cached = store->load_run(key, with_graph)) {
+      return std::move(*cached);
+    }
   }
   const auto pattern_impl = patterns::make_pattern(pattern);
   store::EncodedRun run = run_artifact(

@@ -32,13 +32,16 @@ store::EncodedRun run_artifact(const sim::RunResult& run);
 
 /// The run artifact named `key`: a store hit, or else a simulation of
 /// `pattern` at `shape` under `sim_config` (a replay when
-/// `sim_config.replay` is set), encoded and published. Sets `*simulated`
-/// when it simulated.
+/// `sim_config.replay` is set), encoded and published. Without
+/// `with_graph` a hit decodes only the counters and leaves `graph` empty;
+/// a simulation always returns its graph. Either way it is one store
+/// lookup. Sets `*simulated` when it simulated.
 store::EncodedRun load_or_simulate_run(store::ArtifactStore* store,
                                        const store::Digest& key,
                                        const std::string& pattern,
                                        const patterns::PatternConfig& shape,
                                        const sim::SimConfig& sim_config,
+                                       bool with_graph,
                                        bool* simulated = nullptr);
 
 /// The features artifact of run `run_key` under `kernel` (spelled

@@ -219,6 +219,18 @@ graph::EventGraph read_event_graph_payload(ByteReader& reader) {
                                        std::move(callstacks));
 }
 
+/// The six counters that open a run payload.
+EncodedRun read_run_counters(ByteReader& reader) {
+  EncodedRun run;
+  run.messages = reader.u64();
+  run.wildcard_recvs = reader.u64();
+  run.drops = reader.u64();
+  run.retries = reader.u64();
+  run.duplicates = reader.u64();
+  run.straggler_events = reader.u64();
+  return run;
+}
+
 }  // namespace
 
 std::string_view kind_name(Kind kind) {
@@ -399,18 +411,17 @@ std::vector<std::uint8_t> encode_run(const EncodedRun& run) {
 
 EncodedRun decode_run(std::span<const std::uint8_t> bytes) {
   ByteReader reader(open(bytes, Kind::kRun));
-  EncodedRun run;
-  run.messages = reader.u64();
-  run.wildcard_recvs = reader.u64();
-  run.drops = reader.u64();
-  run.retries = reader.u64();
-  run.duplicates = reader.u64();
-  run.straggler_events = reader.u64();
+  EncodedRun run = read_run_counters(reader);
   run.graph = read_event_graph_payload(reader);
   if (!reader.at_end()) {
     throw ParseError("run artifact: trailing bytes after payload");
   }
   return run;
+}
+
+EncodedRun decode_run_counters(std::span<const std::uint8_t> bytes) {
+  ByteReader reader(open(bytes, Kind::kRun));
+  return read_run_counters(reader);
 }
 
 std::vector<std::uint8_t> encode_features(

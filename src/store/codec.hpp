@@ -16,7 +16,7 @@ namespace anacin::store {
 ///
 ///   offset  size  field
 ///   0       4     magic "ANCS"
-///   4       2     format version (little-endian; currently 1)
+///   4       2     format version (little-endian; kFormatVersion)
 ///   6       2     artifact kind (Kind below)
 ///   8       8     payload size in bytes
 ///   16      8     FNV-1a 64 checksum of the payload
@@ -94,6 +94,10 @@ std::vector<double> decode_distances(std::span<const std::uint8_t> bytes);
 
 std::vector<std::uint8_t> encode_run(const EncodedRun& run);
 EncodedRun decode_run(std::span<const std::uint8_t> bytes);
+/// The counters of a run artifact, its graph left empty. The envelope is
+/// validated exactly as decode_run does (the checksum covers the whole
+/// payload, graph included), but the graph section is not parsed.
+EncodedRun decode_run_counters(std::span<const std::uint8_t> bytes);
 
 std::vector<std::uint8_t> encode_features(
     const kernels::SparseHistogram& features);

@@ -94,11 +94,12 @@ Digest ArtifactStore::replay_run_key(const std::string& pattern,
   return digest_json(doc);
 }
 
-std::optional<EncodedRun> ArtifactStore::load_run(const Digest& key) {
+std::optional<EncodedRun> ArtifactStore::load_run(const Digest& key,
+                                                  bool with_graph) {
   const ObjectBytes bytes = objects_.get(key);
   if (!bytes) return std::nullopt;
   try {
-    return decode_run(*bytes);
+    return with_graph ? decode_run(*bytes) : decode_run_counters(*bytes);
   } catch (const Error&) {
     corrupt_counter().add(1);
     objects_.remove(key);

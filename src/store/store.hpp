@@ -76,7 +76,10 @@ class ArtifactStore {
                                const Digest& schedule,
                                const std::vector<std::size_t>& freed);
 
-  std::optional<EncodedRun> load_run(const Digest& key);
+  /// The run named `key`. With `with_graph` false only its counters are
+  /// decoded and `graph` stays empty; the whole object is still
+  /// checksummed, so a corrupt one takes the corrupt path either way.
+  std::optional<EncodedRun> load_run(const Digest& key, bool with_graph = true);
   void save_run(const Digest& key, const EncodedRun& run);
 
   std::optional<double> load_distance(const Digest& key);

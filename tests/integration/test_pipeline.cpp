@@ -58,12 +58,12 @@ TEST(PipelineFig7, DistanceGrowsWithNdPercent) {
 
 TEST(PipelineFig8, WildcardRecvCallsiteDominatesHotSlices) {
   ThreadPool pool(2);
-  const auto result =
-      core::run_campaign(campaign("amg2013", 8, 1.0, 8), pool);
+  std::vector<graph::EventGraph> graphs;
+  core::run_campaign(campaign("amg2013", 8, 1.0, 8), pool,
+                     store::active_store(), {}, &graphs);
   const auto kernel = kernels::make_kernel("wl:2");
-  const auto report =
-      analysis::find_root_causes(*kernel, kernels::LabelPolicy::kTypePeer,
-                                 result.graphs, {}, pool);
+  const auto report = analysis::find_root_causes(
+      *kernel, kernels::LabelPolicy::kTypePeer, graphs, {}, pool);
   ASSERT_FALSE(report.callstacks.empty());
   const auto& top = report.callstacks.front();
   EXPECT_NE(top.path.find("amg2013"), std::string::npos);

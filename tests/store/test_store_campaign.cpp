@@ -1,17 +1,59 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "core/campaign.hpp"
 #include "obs/obs.hpp"
 #include "store/store.hpp"
+#include "support/error.hpp"
 
 namespace anacin::store {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// A run payload opens with six u64 counters; its event graph follows.
+constexpr std::size_t kRunCounterBytes = 6 * 8;
+
+std::vector<std::uint8_t> read_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const fs::path& path, const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Every object file under `root`.
+std::vector<fs::path> object_files(const fs::path& root) {
+  std::vector<fs::path> files;
+  for (const auto& shard : fs::directory_iterator(root / "objects")) {
+    for (const auto& file : fs::directory_iterator(shard.path())) {
+      files.push_back(file.path());
+    }
+  }
+  return files;
+}
+
+/// The object files under `root` that hold a run, told by the kind field
+/// of the envelope (offset 6, little-endian), even in a corrupt object.
+std::vector<fs::path> run_object_files(const fs::path& root) {
+  std::vector<fs::path> runs;
+  for (const fs::path& file : object_files(root)) {
+    const std::vector<std::uint8_t> bytes = read_bytes(file);
+    if (bytes.size() >= kEnvelopeSize &&
+        bytes[6] == static_cast<std::uint8_t>(Kind::kRun) && bytes[7] == 0) {
+      runs.push_back(file);
+    }
+  }
+  return runs;
+}
 
 core::CampaignConfig small_campaign(std::uint64_t base_seed) {
   core::CampaignConfig config;
@@ -191,26 +233,108 @@ TEST_F(StoreCampaignTest, CorruptObjectIsRecomputedNotServed) {
   const core::CampaignConfig config = small_campaign(555);
   const core::CampaignResult cold = core::run_campaign(config, pool, &store);
 
-  // Corrupt every stored object on disk.
-  for (const auto& shard : fs::directory_iterator(root_ / "objects")) {
-    for (const auto& file : fs::directory_iterator(shard.path())) {
-      std::fstream stream(file.path(),
+  // First corrupt the first payload byte of every stored object; then one
+  // byte of each run's graph section, which a warm campaign does not
+  // decode but must still checksum.
+  for (const bool graph_section : {false, true}) {
+    SCOPED_TRACE(graph_section ? "graph section" : "first payload byte");
+    const std::vector<fs::path> files =
+        graph_section ? run_object_files(root_) : object_files(root_);
+    const std::size_t offset =
+        kEnvelopeSize + (graph_section ? kRunCounterBytes + 8 : 0);
+    for (const fs::path& file : files) {
+      std::fstream stream(file,
                           std::ios::binary | std::ios::in | std::ios::out);
-      stream.seekp(static_cast<std::streamoff>(kEnvelopeSize));
+      stream.seekp(static_cast<std::streamoff>(offset));
       const char garbage = 0x55;
       stream.write(&garbage, 1);
     }
+
+    const std::uint64_t corrupt_before =
+        obs::counter("store.corrupt").value();
+    const core::CampaignResult recovered =
+        core::run_campaign(config, pool, &store);
+    EXPECT_GT(obs::counter("store.corrupt").value(), corrupt_before);
+    EXPECT_EQ(recovered.to_json().dump(), cold.to_json().dump());
+    // Every re-read artifact was removed, recomputed, and re-published.
+    // The jitter-free reference run is served from the in-process memo, so
+    // its (corrupted) object is never re-read — it stays as the one bad
+    // object.
+    EXPECT_LE(store.objects().verify().corrupt.size(), 1u);
+  }
+}
+
+TEST_F(StoreCampaignTest, WarmCampaignDecodesOnlyRunCounters) {
+  ArtifactStore store({root_});
+  ThreadPool pool(2);
+  const core::CampaignConfig config = small_campaign(606);
+  const core::CampaignResult cold = core::run_campaign(config, pool, &store);
+
+  // Give every run object a graph section that does not parse, sealed
+  // under a valid checksum: only decoding the graph can tell. (The
+  // reference's object is there too unless the in-process memo already
+  // held the reference.)
+  const std::vector<fs::path> runs = run_object_files(root_);
+  ASSERT_GE(runs.size(), static_cast<std::size_t>(config.num_runs));
+  for (const fs::path& file : runs) {
+    std::vector<std::uint8_t> bytes = read_bytes(file);
+    std::fill(bytes.begin() + kEnvelopeSize + kRunCounterBytes, bytes.end(),
+              std::uint8_t{0xFF});
+    Fnv1a checksum;
+    checksum.update(bytes.data() + kEnvelopeSize,
+                    bytes.size() - kEnvelopeSize);
+    // The envelope's checksum field: offset 16, little-endian.
+    for (std::size_t i = 0; i < 8; ++i) {
+      bytes[16 + i] = static_cast<std::uint8_t>(checksum.value() >> (8 * i));
+    }
+    ASSERT_THROW(decode_run(bytes), ParseError);
+    write_bytes(file, bytes);
   }
 
-  const std::uint64_t corrupt_before = obs::counter("store.corrupt").value();
-  const core::CampaignResult recovered =
-      core::run_campaign(config, pool, &store);
-  EXPECT_GT(obs::counter("store.corrupt").value(), corrupt_before);
-  EXPECT_EQ(recovered.to_json().dump(), cold.to_json().dump());
-  // Every re-read artifact was removed, recomputed, and re-published. The
-  // jitter-free reference run is served from the in-process memo, so its
-  // (corrupted) object is never re-read — it stays as the one bad object.
-  EXPECT_LE(store.objects().verify().corrupt.size(), 1u);
+  obs::Counter& sims = obs::counter("sim.engine.runs");
+  obs::Counter& corrupt = obs::counter("store.corrupt");
+  const std::uint64_t sims_before = sims.value();
+  const std::uint64_t corrupt_before = corrupt.value();
+  const core::CampaignResult warm = core::run_campaign(config, pool, &store);
+  EXPECT_EQ(warm.to_json().dump(), cold.to_json().dump());
+  EXPECT_EQ(sims.value(), sims_before) << "warm campaign ran a simulation";
+  EXPECT_EQ(corrupt.value(), corrupt_before)
+      << "warm campaign decoded a run's graph";
+
+  // Asking for the graphs decodes them: each run is rejected as corrupt
+  // and simulated again (the reference comes from the in-process memo).
+  std::vector<graph::EventGraph> graphs;
+  const core::CampaignResult with_graphs =
+      core::run_campaign(config, pool, &store, {}, &graphs);
+  const auto num_runs = static_cast<std::uint64_t>(config.num_runs);
+  EXPECT_EQ(corrupt.value() - corrupt_before, num_runs);
+  EXPECT_EQ(sims.value() - sims_before, num_runs);
+  EXPECT_EQ(with_graphs.to_json().dump(), cold.to_json().dump());
+  ASSERT_EQ(graphs.size(), num_runs);
+  for (const graph::EventGraph& graph : graphs) {
+    EXPECT_EQ(graph.num_ranks(), config.shape.num_ranks);
+  }
+}
+
+TEST_F(StoreCampaignTest, NewKernelDecodesStoredGraphsWithoutSimulating) {
+  ArtifactStore store({root_});
+  ThreadPool pool(2);
+  core::CampaignConfig config = small_campaign(707);
+  core::run_campaign(config, pool, &store);
+
+  // Every wl:1 feature misses, so the parallel feature loop decodes each
+  // run's graph from the store.
+  config.kernel = "wl:1";
+  const core::CampaignResult plain = core::run_campaign(config, pool, nullptr);
+  obs::Counter& sims = obs::counter("sim.engine.runs");
+  obs::Counter& feature_tasks = obs::counter("kernels.feature_tasks");
+  const std::uint64_t sims_before = sims.value();
+  const std::uint64_t features_before = feature_tasks.value();
+  const core::CampaignResult warm = core::run_campaign(config, pool, &store);
+  EXPECT_EQ(sims.value(), sims_before);
+  EXPECT_EQ(feature_tasks.value() - features_before,
+            static_cast<std::uint64_t>(config.num_runs) + 1);
+  EXPECT_EQ(warm.to_json().dump(), plain.to_json().dump());
 }
 
 }  // namespace
