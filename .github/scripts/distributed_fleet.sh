@@ -1,11 +1,9 @@
 #!/usr/bin/env bash
 # Launch one `anacin serve` scheduler plus two loopback `anacin agent`
-# processes and wait for all three — the fixture behind the CI
-# distributed-smoke job (and a handy local repro:
+# processes and wait for all three — a local smoke of the fleet:
 #   ANACIN=./build/src/cli/anacin SWEEP_FLAGS="--pattern message_race \
 #     --ranks 4 --runs 3 --step 50" .github/scripts/distributed_fleet.sh \
 #     demo sched-store a1-store a2-store
-# ).
 #
 # Usage: distributed_fleet.sh TAG SCHED_STORE AGENT1_STORE AGENT2_STORE \
 #          [extra serve args...]

@@ -4,7 +4,7 @@
 // the per-unit floor `anacin serve` adds over a local worker pool. Every
 // frame benchmark runs at both protocol versions (second arg: 1 = legacy
 // no-trailer framing, 2 = CRC32C trailer), so the integrity tax of v2 is
-// a first-class, regression-gated number: the CI chaos-smoke job asserts
+// a first-class, regression-gated number: the CI perf-gate job asserts
 // the v2 loopback round trip stays within 5% of v1 at 64 bytes (the
 // control-plane frame size, where the CRC hides under the syscalls) and
 // within a coarse ceiling at 4 KiB (bulk frames are throughput-bound:

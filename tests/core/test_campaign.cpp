@@ -98,8 +98,12 @@ TEST(Campaign, ReferenceSimulatedOncePerUniqueKeyWithoutStore) {
   // A sweep varies nd_fraction while (pattern, shape, base_seed) stay
   // fixed; the jitter-free reference is identical across all points and
   // must be simulated exactly once — even with no artifact store.
+  // The reference memo is process-wide, so every invocation (a
+  // --gtest_repeat iteration) takes two base seeds no earlier one used.
+  static std::uint64_t invocation = 0;
+  const std::uint64_t base_seed = 987654321 + 2 * invocation++;
   CampaignConfig config = small_campaign(1.0, 3);
-  config.base_seed = 987654321;  // unique key within this test binary
+  config.base_seed = base_seed;  // unique key within this test binary
   const std::uint64_t before = reference_sims.value();
   for (const double nd : {0.2, 0.6, 1.0}) {
     config.nd_fraction = nd;
@@ -108,7 +112,7 @@ TEST(Campaign, ReferenceSimulatedOncePerUniqueKeyWithoutStore) {
   EXPECT_EQ(reference_sims.value(), before + 1);
 
   // A different base_seed is a different reference: one more simulation.
-  config.base_seed = 987654322;
+  config.base_seed = base_seed + 1;
   run_campaign(config, pool, nullptr);
   EXPECT_EQ(reference_sims.value(), before + 2);
 }

@@ -40,4 +40,15 @@ inline double counter_value(const json::Value& metrics,
   return found == nullptr ? 0.0 : found->as_number();
 }
 
+/// True when no live process names `text` on its command line: pass a
+/// fixture's directory, which every process it started names. (The
+/// bracketed last character keeps pgrep's own shell from matching itself.)
+inline bool no_process_left(std::string text) {
+  const char last = text.back();
+  text.back() = '[';
+  text += last;
+  text += ']';
+  return run_command("pgrep -f '" + text + "' > /dev/null") == 1;
+}
+
 }  // namespace anacin::e2e

@@ -59,6 +59,37 @@ protected:
     return json::parse(slurp(dir_ / (tag + "-metrics.json")));
   }
 
+  /// Deliver `signal` (a `kill -s` name) to a sweep whose first point is
+  /// busy: it must drain in-flight work, journal, and exit `exit_code`,
+  /// and the journal it leaves must resume to the uninterrupted bytes.
+  void expect_signal_drains_and_resumes(const std::string& signal,
+                                        int exit_code) {
+    // Baseline for byte-comparison (and to warm the store).
+    ASSERT_EQ(run_command(sweep_command("store-t", "tb.jsonl", "tbase", "")),
+              0)
+        << slurp(dir_ / "tbase.out");
+
+    // An injected 1.5 s sleep in run:1 keeps the first point busy long
+    // enough for `timeout` to deliver the signal at the 0.5 s mark.
+    ::setenv("ANACIN_FAULT_PLAN", "unit.run:1=sleep:1500", 1);
+    EXPECT_EQ(run_command("timeout --preserve-status -s " + signal + " 0.5 " +
+                          sweep_command("store-t", "t.jsonl", "sig", "")),
+              exit_code);
+    ::unsetenv("ANACIN_FAULT_PLAN");
+    EXPECT_NE(slurp(dir_ / "sig.out").find("rerun with --resume"),
+              std::string::npos)
+        << slurp(dir_ / "sig.out");
+
+    // The journal left behind is immediately resumable, and the resumed
+    // sweep is byte-identical to the uninterrupted baseline.
+    ASSERT_EQ(
+        run_command(sweep_command("store-t", "t.jsonl", "resumed", "--resume")),
+        0)
+        << slurp(dir_ / "resumed.out");
+    EXPECT_EQ(slurp(dir_ / "resumed.csv"), slurp(dir_ / "tbase.csv"));
+    EXPECT_EQ(slurp(dir_ / "resumed.json"), slurp(dir_ / "tbase.json"));
+  }
+
   fs::path dir_;
 };
 
@@ -137,31 +168,11 @@ TEST_F(ResilienceE2e, TruncatedJournalResumesFromLastIntactRecord) {
 }
 
 TEST_F(ResilienceE2e, SigtermDrainsJournalsAndExits143) {
-  // Baseline for byte-comparison (and to warm the store).
-  ASSERT_EQ(run_command(sweep_command("store-t", "tb.jsonl", "tbase", "")), 0)
-      << slurp(dir_ / "tbase.out");
+  expect_signal_drains_and_resumes("TERM", 143);
+}
 
-  // An injected 4 s sleep in run:1 keeps the first point busy long enough
-  // for `timeout` to deliver SIGTERM at the 1 s mark. The process must
-  // drain in-flight work, journal, and exit 143 — the same graceful path
-  // as SIGINT, just with the distinct "terminated" exit code.
-  ::setenv("ANACIN_FAULT_PLAN", "unit.run:1=sleep:4000", 1);
-  EXPECT_EQ(run_command("timeout --preserve-status -s TERM 1 " +
-                        sweep_command("store-t", "t.jsonl", "term", "")),
-            143);
-  ::unsetenv("ANACIN_FAULT_PLAN");
-  EXPECT_NE(slurp(dir_ / "term.out").find("rerun with --resume"),
-            std::string::npos)
-      << slurp(dir_ / "term.out");
-
-  // The journal left behind is immediately resumable, and the resumed
-  // sweep is byte-identical to the uninterrupted baseline.
-  ASSERT_EQ(
-      run_command(sweep_command("store-t", "t.jsonl", "term2", "--resume")),
-      0)
-      << slurp(dir_ / "term2.out");
-  EXPECT_EQ(slurp(dir_ / "term2.csv"), slurp(dir_ / "tbase.csv"));
-  EXPECT_EQ(slurp(dir_ / "term2.json"), slurp(dir_ / "tbase.json"));
+TEST_F(ResilienceE2e, SigintDrainsJournalsAndExits130) {
+  expect_signal_drains_and_resumes("INT", 130);
 }
 
 TEST_F(ResilienceE2e, ChildExitCodesMatchTaxonomy) {

@@ -2,49 +2,28 @@
 // `anacin serve` + two loopback `anacin agent` processes, and require the
 // report outputs to be byte-identical — cold, with one agent SIGKILLed
 // mid-campaign (requeue to the survivor), with warm agent stores (zero
-// simulation), and across a scheduler crash + --resume. Exercises the real
-// CLI binary the way an operator's fleet would.
+// simulation, also under network faults), and across a scheduler crash +
+// --resume. Exercises the real CLI binary the way an operator's fleet
+// would.
 
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdlib>
+#include <csignal>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 
-#include "support/json.hpp"
-
-#ifndef ANACIN_CLI_PATH
-#error "ANACIN_CLI_PATH must point at the anacin executable"
-#endif
+#include "../integration/cli_e2e.hpp"
 
 namespace anacin {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string slurp(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-int run_command(const std::string& command) {
-  const int status = std::system(command.c_str());
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
-  return -1;
-}
-
-double counter_value(const json::Value& metrics, const std::string& name) {
-  const json::Value* found = metrics.at("counters").find(name);
-  return found == nullptr ? 0.0 : found->as_number();
-}
+using e2e::counter_value;
+using e2e::run_command;
+using e2e::slurp;
 
 constexpr const char* kSweepFlags =
     "--pattern message_race --ranks 4 --runs 2 --step 50 --seed 7";
@@ -131,16 +110,47 @@ class DistributedE2e : public ::testing::Test {
     return json::parse(slurp(path(tag + "-metrics.json")));
   }
 
-  /// True when no process of this fixture's fleets is still alive: each
-  /// one names the fixture directory on its command line. (The bracketed
-  /// last character keeps pgrep's own shell from matching itself.)
-  bool no_fleet_process_left() const {
-    std::string pattern = dir_.string();
-    const char last = pattern.back();
-    pattern.back() = '[';
-    pattern += last;
-    pattern += ']';
-    return run_command("pgrep -f '" + pattern + "' > /dev/null") == 1;
+  /// Warm both agent stores with a completed local sweep; the scheduler
+  /// store stays cold, so it must pull everything over the wire, and the
+  /// agents must serve it all from cache. A non-empty `serve_env` must
+  /// inject network faults, and at least one of them must fire.
+  void expect_warm_agents_publish_without_simulating(
+      const std::string& serve_env, const std::string& extra_serve) {
+    ASSERT_EQ(run_command(local_command("local")), 0)
+        << slurp(path("local.out"));
+    ASSERT_EQ(run_command("cp -r " + path("local-store").string() + " " +
+                          path("warm1-store").string()),
+              0);
+    ASSERT_EQ(run_command("cp -r " + path("local-store").string() + " " +
+                          path("warm2-store").string()),
+              0);
+
+    ASSERT_EQ(run_command(fleet_command("warm", "warm-sched-store",
+                                        "warm1-store", "warm2-store",
+                                        serve_env, "", extra_serve)),
+              0)
+        << debug_dump("warm");
+    EXPECT_EQ(agent_exit("warm", 1), 0);
+    EXPECT_EQ(agent_exit("warm", 2), 0);
+
+    EXPECT_EQ(slurp(path("warm.json")), slurp(path("local.json")));
+
+    // The acceptance bar: warm agents run zero simulations end to end.
+    EXPECT_EQ(counter_value(metrics("warm-a1"), "sim.engine.runs"), 0.0);
+    EXPECT_EQ(counter_value(metrics("warm-a2"), "sim.engine.runs"), 0.0);
+    EXPECT_GT(counter_value(metrics("warm-a1"), "net.objects_published") +
+                  counter_value(metrics("warm-a2"), "net.objects_published"),
+              0.0);
+    if (!serve_env.empty()) {
+      const json::Value serve_metrics = metrics("warm");
+      double faults_fired = 0.0;
+      for (const char* kind :
+           {"drop", "corrupt", "reorder", "delay", "reset", "partition"}) {
+        faults_fired += counter_value(serve_metrics,
+                                      std::string("faults.net.") + kind);
+      }
+      EXPECT_GT(faults_fired, 0.0) << debug_dump("warm");
+    }
   }
 
   std::string debug_dump(const std::string& tag) const {
@@ -207,7 +217,7 @@ TEST_F(DistributedE2e, AgentKilledMidCampaignRequeuesToSurvivor) {
   EXPECT_GE(counter_value(serve_metrics, "net.agent_disconnects"), 1.0);
   EXPECT_GE(counter_value(serve_metrics, "net.leases_expired"), 1.0);
   EXPECT_GE(counter_value(serve_metrics, "resilience.retries"), 1.0);
-  EXPECT_TRUE(no_fleet_process_left());
+  EXPECT_TRUE(e2e::no_process_left(dir_.string()));
 }
 
 TEST_F(DistributedE2e, ChaosFleetMatchesLocalByteForByte) {
@@ -281,37 +291,19 @@ TEST_F(DistributedE2e, ConnectionResetsResumeSessionsInvisibly) {
   EXPECT_GE(counter_value(serve_metrics, "net.sessions_resumed"), 1.0);
   // Resume — not expiry — is the recovery path for a live agent.
   EXPECT_GE(counter_value(serve_metrics, "net.redispatches"), 1.0);
-  EXPECT_TRUE(no_fleet_process_left());
+  EXPECT_TRUE(e2e::no_process_left(dir_.string()));
 }
 
 TEST_F(DistributedE2e, WarmAgentsPublishWithoutSimulating) {
-  // Warm both agent stores with a completed local sweep; the scheduler
-  // store stays cold, so it must pull everything over the wire — and the
-  // agents must serve it all from cache.
-  ASSERT_EQ(run_command(local_command("local")), 0)
-      << slurp(path("local.out"));
-  ASSERT_EQ(run_command("cp -r " + path("local-store").string() + " " +
-                        path("warm1-store").string()),
-            0);
-  ASSERT_EQ(run_command("cp -r " + path("local-store").string() + " " +
-                        path("warm2-store").string()),
-            0);
+  expect_warm_agents_publish_without_simulating("", "");
+}
 
-  ASSERT_EQ(run_command(fleet_command("warm", "warm-sched-store",
-                                      "warm1-store", "warm2-store")),
-            0)
-      << debug_dump("warm");
-  EXPECT_EQ(agent_exit("warm", 1), 0);
-  EXPECT_EQ(agent_exit("warm", 2), 0);
-
-  EXPECT_EQ(slurp(path("warm.json")), slurp(path("local.json")));
-
-  // The acceptance bar: warm agents run zero simulations end to end.
-  EXPECT_EQ(counter_value(metrics("warm-a1"), "sim.engine.runs"), 0.0);
-  EXPECT_EQ(counter_value(metrics("warm-a2"), "sim.engine.runs"), 0.0);
-  EXPECT_GT(counter_value(metrics("warm-a1"), "net.objects_published") +
-                counter_value(metrics("warm-a2"), "net.objects_published"),
-            0.0);
+TEST_F(DistributedE2e, WarmAgentsUnderNetworkFaultsPublishWithoutSimulating) {
+  // Resets and corrupt frames on the scheduler's sends: every recovery
+  // (reconnect, re-dispatch) must be answered from the agents' stores.
+  expect_warm_agents_publish_without_simulating(
+      "ANACIN_FAULT_PLAN='seed=21,net.reset=0.1,net.corrupt=0.05'",
+      "--unit-lease-ms 5000 --agent-heartbeat-timeout-ms 1500");
 }
 
 TEST_F(DistributedE2e, SchedulerCrashResumesAcrossFreshFleet) {
@@ -331,7 +323,7 @@ TEST_F(DistributedE2e, SchedulerCrashResumesAcrossFreshFleet) {
       << debug_dump("crash");
   EXPECT_EQ(agent_exit("crash", 1), 0) << slurp(path("crash-a1.out"));
   EXPECT_EQ(agent_exit("crash", 2), 0) << slurp(path("crash-a2.out"));
-  EXPECT_TRUE(no_fleet_process_left());
+  EXPECT_TRUE(e2e::no_process_left(dir_.string()));
   ASSERT_TRUE(fs::exists(path("serve.jsonl")));
 
   // Resume with a fresh fleet: the journal replays the finished point and
