@@ -343,8 +343,9 @@ struct ResilienceCliOptions {
   std::unique_ptr<proc::WorkerPool> make_worker_pool() const {
     const proc::IsolationMode mode = proc::isolation_mode_from_name(isolate);
     if (mode == proc::IsolationMode::kNone) {
-      ANACIN_CHECK(unit_mem_limit == 0,
-                   "--unit-mem-limit requires --isolate=process");
+      if (unit_mem_limit != 0) {
+        throw ConfigError("--unit-mem-limit requires --isolate=process");
+      }
       return nullptr;
     }
     store::ArtifactStore* store = store::active_store();
@@ -367,8 +368,10 @@ struct ResilienceCliOptions {
   /// pool (--isolate=process), or an agent fleet (`anacin serve`).
   core::ResilienceOptions options(proc::UnitExecutor* executor = nullptr)
       const {
-    ANACIN_CHECK(max_retries >= 0, "--max-retries must be >= 0");
-    ANACIN_CHECK(run_deadline_ms >= 0.0, "--run-deadline-ms must be >= 0");
+    if (max_retries < 0) throw ConfigError("--max-retries must be >= 0");
+    if (run_deadline_ms < 0.0) {
+      throw ConfigError("--run-deadline-ms must be >= 0");
+    }
     core::ResilienceOptions resilience;
     resilience.retry.max_retries = max_retries;
     resilience.retry.base_backoff_us = backoff_us;
@@ -437,9 +440,12 @@ std::optional<DropRange> parse_drop_range(const std::string& spec) {
   range.lo = parse_double_strict(parts[0], "--fault-drop");
   range.hi = parse_double_strict(parts[1], "--fault-drop");
   range.step = parse_double_strict(parts[2], "--fault-drop");
-  ANACIN_CHECK(range.lo >= 0.0 && range.hi <= 1.0 && range.lo <= range.hi,
-               "--fault-drop range must satisfy 0 <= lo <= hi <= 1");
-  ANACIN_CHECK(range.step > 0.0, "--fault-drop range step must be positive");
+  if (!(range.lo >= 0.0 && range.hi <= 1.0 && range.lo <= range.hi)) {
+    throw ConfigError("--fault-drop range must satisfy 0 <= lo <= hi <= 1");
+  }
+  if (!(range.step > 0.0)) {
+    throw ConfigError("--fault-drop range step must be positive");
+  }
   return range;
 }
 
@@ -699,7 +705,7 @@ int run_sweep(std::ostream& out, SweepCliOptions& options,
   const std::string& json_out = options.json_out;
   std::string& journal_path = options.journal_path;
   const bool resume = options.resume;
-  ANACIN_CHECK(step >= 1 && step <= 100, "step must be in [1,100]");
+  if (step < 1 || step > 100) throw ConfigError("step must be in [1,100]");
 
   ThreadPool pool;
   const std::optional<DropRange> drop_range =
@@ -1113,7 +1119,7 @@ int cmd_bisect(const std::vector<const char*>& argv, std::ostream& out) {
   double target = 0.9;
   std::string kernel = "wl:2";
   std::string policy = "type_peer";
-  int slice_window = 16;
+  std::uint64_t slice_window = 16;
   std::string json_out;
   std::string bar_out;
   ArgParser parser(
@@ -1133,19 +1139,20 @@ int cmd_bisect(const std::vector<const char*>& argv, std::ostream& out) {
   parser.add_string("kernel", "graph kernel (wl[:h], vertex_histogram, ...)",
                     &kernel);
   parser.add_string("policy", "node label policy", &policy);
-  parser.add_int("slice-window", "logical-time slice width of the report",
-                 &slice_window);
+  parser.add_uint64("slice-window", "logical-time slice width of the report",
+                    &slice_window);
   parser.add_string("json", "write the full bisection result as JSON",
                     &json_out);
   parser.add_string("bar", "write the ranked report as a bar chart SVG",
                     &bar_out);
   if (!parser.parse(static_cast<int>(argv.size()), argv.data())) return 0;
-  ANACIN_CHECK(slice_window >= 1, "--slice-window must be >= 1");
   // Every candidate's distance is load-bearing for convergence, so there is
   // no partial-results mode to keep going into.
-  ANACIN_CHECK(!resilience.keep_going,
-               "bisect cannot skip failed candidates; --keep-going is not "
-               "supported here");
+  if (resilience.keep_going) {
+    throw ConfigError(
+        "bisect cannot skip failed candidates; --keep-going is not "
+        "supported here");
+  }
 
   replay::BisectConfig config;
   config.pattern = workload.pattern;
@@ -1156,10 +1163,8 @@ int cmd_bisect(const std::vector<const char*>& argv, std::ostream& out) {
   config.kernel_spec = kernel;
   config.label_policy = kernels::label_policy_from_name(policy);
   config.target_fraction = target;
-  config.slice_window = static_cast<std::uint64_t>(slice_window);
-  config.retry.max_retries = resilience.max_retries;
-  config.retry.base_backoff_us = resilience.backoff_us;
-  config.retry.run_deadline_ms = resilience.run_deadline_ms;
+  config.slice_window = slice_window;
+  config.retry = resilience.options().retry;
 
   InterruptScope interrupt;
   ThreadPool pool;

@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "graph/event_graph.hpp"
@@ -98,8 +99,8 @@ class CandidateEvaluator {
   }
 
  private:
-  /// The candidate's distance, from the store or from one replay. Only the
-  /// distance is stored: nothing reads a candidate's run or features back.
+  /// The candidate's distance from one replay. In-process nothing is
+  /// stored: the bisection's outcome object is what a warm re-run reads.
   double compute(const std::string& unit,
                  const std::vector<std::size_t>& freed) {
     candidates_.fetch_add(1, std::memory_order_relaxed);
@@ -108,12 +109,13 @@ class CandidateEvaluator {
     candidate.freed = freed;
     if (executor_ == nullptr) {
       support::faults::on_unit_body(unit);
-      return proc::load_or_replay_distance(store_, candidate, *kernel_,
+      return proc::load_or_replay_distance(nullptr, candidate, *kernel_,
                                            schedule_, reference_features_);
     }
     // The worker or agent replays the candidate and publishes its
-    // distance; the driver reads it back through the store, so isolated
-    // bisections are byte-identical to in-process ones.
+    // distance, the unit's transport back to this process, which reads it
+    // through the store; so isolated bisections are byte-identical to
+    // in-process ones.
     const store::Digest key = candidate.distance_key();
     if (const auto hit = store_->load_distance(key)) return *hit;
     executor_->execute(unit, proc::make_replay_request(unit, candidate));
@@ -191,6 +193,140 @@ wildcard_recvs_by_match(const graph::EventGraph& reference) {
   return by_match;
 }
 
+/// Delta-debug the recorded schedule's `total` entries: the full gap, the
+/// ddmin loop over the freed set, and the minimal set's standalone
+/// contributions.
+store::EncodedBisection search(const BisectConfig& config, ThreadPool& pool,
+                               CandidateEvaluator& evaluator,
+                               std::size_t total, CancelToken* cancel) {
+  store::EncodedBisection outcome;
+  std::vector<std::size_t> all(total);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  if (total == 0) return outcome;  // deterministic program: nothing to bisect
+
+  // --- the full gap: reference vs the all-freed (unconstrained) replay ---
+  outcome.full_gap = evaluator.evaluate(all);
+  if (outcome.full_gap <= 0.0) {
+    outcome.candidates = evaluator.candidates_evaluated();
+    return outcome;  // the replay seed happens to reproduce the reference
+  }
+  const double target = config.target_fraction * outcome.full_gap;
+
+  // --- ddmin over the freed set ---
+  //
+  // Invariant: freeing `current` reproduces >= target of the gap. Each
+  // round partitions `current` into n chunks and tests every chunk and
+  // (for n > 2) every complement concurrently; the winner is chosen
+  // deterministically (first passing chunk in partition order, then first
+  // passing complement), so identical inputs bisect identically no matter
+  // how the pool schedules the candidate replays.
+  std::vector<std::size_t> current = all;
+  std::size_t n = 2;
+  while (current.size() >= 2 && n <= current.size()) {
+    check_cancel(cancel);
+    ++outcome.rounds;
+
+    const std::vector<std::vector<std::size_t>> chunks =
+        partition(current, n);
+    std::vector<std::vector<std::size_t>> candidates = chunks;
+    if (n > 2) {
+      for (const auto& chunk : chunks) {
+        candidates.push_back(complement_of(current, chunk));
+      }
+    }
+    std::vector<double> distances(candidates.size(), 0.0);
+    pool.parallel_for(
+        0, candidates.size(),
+        [&](std::size_t i) { distances[i] = evaluator.evaluate(candidates[i]); },
+        cancel);
+    check_cancel(cancel);
+
+    std::size_t winner = candidates.size();
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      if (distances[i] >= target) {
+        winner = i;
+        break;
+      }
+    }
+    if (winner < chunks.size()) {
+      current = candidates[winner];  // reduce to the passing chunk
+      n = 2;
+    } else if (winner < candidates.size()) {
+      current = candidates[winner];  // reduce to the passing complement
+      n = std::max<std::size_t>(n - 1, 2);
+    } else if (n < current.size()) {
+      n = std::min(n * 2, current.size());  // refine granularity
+    } else {
+      break;  // 1-minimal: no chunk or complement passes
+    }
+  }
+
+  outcome.minimal = current;
+  outcome.achieved = evaluator.evaluate(outcome.minimal);
+
+  // --- standalone contributions for the ranked report ---
+  outcome.contributions.assign(outcome.minimal.size(), 0.0);
+  pool.parallel_for(
+      0, outcome.minimal.size(),
+      [&](std::size_t i) {
+        outcome.contributions[i] = evaluator.evaluate({outcome.minimal[i]});
+      },
+      cancel);
+  check_cancel(cancel);
+  outcome.candidates = evaluator.candidates_evaluated();
+  return outcome;
+}
+
+/// The minimal set located in the reference run (rank, recorded outcome,
+/// callsite, Lamport slice at `slice_window`) and ranked by standalone
+/// contribution, descending.
+std::vector<RacyMatch> ranked_report(
+    const graph::EventGraph& reference, const sim::ReplaySchedule& schedule,
+    const std::vector<std::size_t>& minimal,
+    const std::vector<double>& contributions, std::uint64_t slice_window) {
+  std::vector<RacyMatch> report;
+  if (minimal.empty()) return report;
+  const auto by_match = wildcard_recvs_by_match(reference);
+  const graph::SliceSet slices =
+      graph::slice_by_lamport_window(reference, slice_window);
+  report.reserve(minimal.size());
+  for (std::size_t i = 0; i < minimal.size(); ++i) {
+    const std::size_t flat = minimal[i];
+    // Locate the entry's rank and recorded outcome.
+    std::size_t index = flat;
+    int rank = 0;
+    for (const auto& per_rank : schedule.wildcard_matches) {
+      if (index < per_rank.size()) break;
+      index -= per_rank.size();
+      ++rank;
+    }
+    const sim::ReplaySchedule::Match& match =
+        schedule.wildcard_matches[static_cast<std::size_t>(rank)][index];
+    RacyMatch entry;
+    entry.schedule_index = flat;
+    entry.rank = rank;
+    entry.source = match.source;
+    entry.send_seq = match.send_seq;
+    entry.contribution = contributions[i];
+    const auto node_it = by_match.find({match.source, match.send_seq});
+    if (node_it != by_match.end()) {
+      const graph::EventNode& node = reference.node(node_it->second);
+      entry.recv_seq = node.seq;
+      entry.callsite = reference.callstacks().path(node.callstack_id);
+      entry.slice = slices.slice_of_node[node_it->second];
+    }
+    report.push_back(std::move(entry));
+  }
+  std::sort(report.begin(), report.end(),
+            [](const RacyMatch& a, const RacyMatch& b) {
+              if (a.contribution != b.contribution) {
+                return a.contribution > b.contribution;
+              }
+              return a.schedule_index < b.schedule_index;
+            });
+  return report;
+}
+
 }  // namespace
 
 BisectResult bisect(const BisectConfig& config, ThreadPool& pool,
@@ -258,136 +394,34 @@ BisectResult bisect(const BisectConfig& config, ThreadPool& pool,
   }
   check_cancel(cancel);
 
-  // --- reference feature embedding (store-cached) ---
-  const kernels::FeatureVector reference_features =
-      proc::load_or_extract_features(
-          store, *kernels::make_kernel(config.kernel_spec),
-          config.kernel_spec, config.label_policy, reference_key,
-          [&]() -> const graph::EventGraph& { return reference; });
-
-  CandidateEvaluator evaluator(config, supervisor, executor, store,
-                               result.schedule, reference_key, schedule_key,
-                               reference_features);
-
+  // --- the outcome: one stored object, or else the search ---
   const std::size_t total = result.schedule.total_matches();
-  std::vector<std::size_t> all(total);
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  if (total == 0) {
-    result.candidates = evaluator.candidates_evaluated();
-    return result;  // deterministic program: nothing to bisect
+  const store::Digest outcome_key = store::ArtifactStore::bisection_key(
+      config.kernel_spec, config.label_policy, reference_key,
+      config.replay_seed, config.target_fraction);
+  std::optional<store::EncodedBisection> outcome;
+  if (store != nullptr) outcome = store->load_bisection(outcome_key, total);
+  if (!outcome) {
+    const kernels::FeatureVector reference_features =
+        proc::load_or_extract_features(
+            store, *kernels::make_kernel(config.kernel_spec),
+            config.kernel_spec, config.label_policy, reference_key,
+            [&]() -> const graph::EventGraph& { return reference; });
+    CandidateEvaluator evaluator(config, supervisor, executor, store,
+                                 result.schedule, reference_key,
+                                 schedule_key, reference_features);
+    outcome = search(config, pool, evaluator, total, cancel);
+    if (store != nullptr) store->save_bisection(outcome_key, *outcome);
   }
 
-  // --- the full gap: reference vs the all-freed (unconstrained) replay ---
-  result.full_gap = evaluator.evaluate(all);
-  if (result.full_gap <= 0.0) {
-    result.candidates = evaluator.candidates_evaluated();
-    return result;  // the replay seed happens to reproduce the reference
-  }
-  const double target = config.target_fraction * result.full_gap;
-
-  // --- ddmin over the freed set ---
-  //
-  // Invariant: freeing `current` reproduces >= target of the gap. Each
-  // round partitions `current` into n chunks and tests every chunk and
-  // (for n > 2) every complement concurrently; the winner is chosen
-  // deterministically (first passing chunk in partition order, then first
-  // passing complement), so identical inputs bisect identically no matter
-  // how the pool schedules the candidate replays.
-  std::vector<std::size_t> current = all;
-  std::size_t n = 2;
-  while (current.size() >= 2 && n <= current.size()) {
-    check_cancel(cancel);
-    ++result.rounds;
-
-    const std::vector<std::vector<std::size_t>> chunks =
-        partition(current, n);
-    std::vector<std::vector<std::size_t>> candidates = chunks;
-    if (n > 2) {
-      for (const auto& chunk : chunks) {
-        candidates.push_back(complement_of(current, chunk));
-      }
-    }
-    std::vector<double> distances(candidates.size(), 0.0);
-    pool.parallel_for(
-        0, candidates.size(),
-        [&](std::size_t i) { distances[i] = evaluator.evaluate(candidates[i]); },
-        cancel);
-    check_cancel(cancel);
-
-    std::size_t winner = candidates.size();
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (distances[i] >= target) {
-        winner = i;
-        break;
-      }
-    }
-    if (winner < chunks.size()) {
-      current = candidates[winner];  // reduce to the passing chunk
-      n = 2;
-    } else if (winner < candidates.size()) {
-      current = candidates[winner];  // reduce to the passing complement
-      n = std::max<std::size_t>(n - 1, 2);
-    } else if (n < current.size()) {
-      n = std::min(n * 2, current.size());  // refine granularity
-    } else {
-      break;  // 1-minimal: no chunk or complement passes
-    }
-  }
-
-  result.minimal = current;
-  result.achieved = evaluator.evaluate(result.minimal);
-
-  // --- standalone contributions for the ranked report ---
-  std::vector<double> contributions(result.minimal.size(), 0.0);
-  pool.parallel_for(
-      0, result.minimal.size(),
-      [&](std::size_t i) {
-        contributions[i] = evaluator.evaluate({result.minimal[i]});
-      },
-      cancel);
-  check_cancel(cancel);
-
-  const auto by_match = wildcard_recvs_by_match(reference);
-  const graph::SliceSet slices =
-      graph::slice_by_lamport_window(reference, config.slice_window);
-  result.report.reserve(result.minimal.size());
-  for (std::size_t i = 0; i < result.minimal.size(); ++i) {
-    const std::size_t flat = result.minimal[i];
-    // Locate the entry's rank and recorded outcome.
-    std::size_t index = flat;
-    int rank = 0;
-    for (const auto& per_rank : result.schedule.wildcard_matches) {
-      if (index < per_rank.size()) break;
-      index -= per_rank.size();
-      ++rank;
-    }
-    const sim::ReplaySchedule::Match& match =
-        result.schedule
-            .wildcard_matches[static_cast<std::size_t>(rank)][index];
-    RacyMatch entry;
-    entry.schedule_index = flat;
-    entry.rank = rank;
-    entry.source = match.source;
-    entry.send_seq = match.send_seq;
-    entry.contribution = contributions[i];
-    const auto node_it = by_match.find({match.source, match.send_seq});
-    if (node_it != by_match.end()) {
-      const graph::EventNode& node = reference.node(node_it->second);
-      entry.recv_seq = node.seq;
-      entry.callsite = reference.callstacks().path(node.callstack_id);
-      entry.slice = slices.slice_of_node[node_it->second];
-    }
-    result.report.push_back(std::move(entry));
-  }
-  std::sort(result.report.begin(), result.report.end(),
-            [](const RacyMatch& a, const RacyMatch& b) {
-              if (a.contribution != b.contribution) {
-                return a.contribution > b.contribution;
-              }
-              return a.schedule_index < b.schedule_index;
-            });
-
-  result.candidates = evaluator.candidates_evaluated();
+  result.full_gap = outcome->full_gap;
+  result.achieved = outcome->achieved;
+  result.rounds = outcome->rounds;
+  result.candidates = outcome->candidates;
+  result.minimal = std::move(outcome->minimal);
+  result.report =
+      ranked_report(reference, result.schedule, result.minimal,
+                    outcome->contributions, config.slice_window);
   return result;
 }
 

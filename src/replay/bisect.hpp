@@ -74,19 +74,24 @@ struct BisectResult {
   /// The minimal set ranked by standalone contribution, descending.
   std::vector<RacyMatch> report;
   /// ddmin rounds executed and candidate replays evaluated (memoized
-  /// repeats excluded).
+  /// repeats excluded). A warm re-run reports the counts of the search
+  /// its stored outcome came from.
   std::size_t rounds = 0;
   std::size_t candidates = 0;
 };
 
 /// Record + delta-debug + rank. Candidate replays are campaign-style work
 /// units: each runs under the supervisor (retries, deadlines, injected
-/// faults). With a store active, a candidate stores only its distance, so
-/// a warm re-run evaluates zero simulations; the reference run, its
-/// schedule and its features are the only other objects a bisection
-/// stores. An optional UnitExecutor (the `--isolate=process` worker pool)
-/// runs each candidate as one `replay` unit. `cancel` aborts between
-/// rounds (SIGINT).
+/// faults). With a store active, a bisection stores four objects: the
+/// reference run, its schedule, its features and one `bisection` object
+/// with the outcome (gaps, rounds, candidates, minimal set and
+/// contributions). A warm re-run loads the reference, its schedule and
+/// the outcome, evaluates no candidate and rebuilds the ranked report at
+/// the requested slice window. In-process candidates store nothing. An
+/// optional UnitExecutor (the `--isolate=process` worker pool) runs each
+/// candidate as one `replay` unit, whose stored distance carries the
+/// result back. `cancel` aborts between rounds (SIGINT); an interrupted
+/// bisection stores no outcome.
 ///
 /// Throws Error subclasses on unrecoverable failures (a candidate that
 /// fails permanently aborts the bisection — its distance is load-bearing).

@@ -242,6 +242,7 @@ std::string_view kind_name(Kind kind) {
     case Kind::kRun: return "run";
     case Kind::kFeatures: return "features";
     case Kind::kSchedule: return "schedule";
+    case Kind::kBisection: return "bisection";
   }
   return "unknown";
 }
@@ -267,7 +268,8 @@ Envelope validate_envelope(std::span<const std::uint8_t> bytes) {
   }
   const std::uint16_t raw_kind =
       static_cast<std::uint16_t>(bytes[6] | (bytes[7] << 8));
-  if (raw_kind < 1 || raw_kind > 7) {
+  if (raw_kind < 1 ||
+      raw_kind > static_cast<std::uint16_t>(Kind::kBisection)) {
     throw ParseError("artifact has unknown kind " + std::to_string(raw_kind));
   }
   envelope.kind = static_cast<Kind>(raw_kind);
@@ -507,6 +509,53 @@ sim::ReplaySchedule decode_schedule(std::span<const std::uint8_t> bytes) {
     throw ParseError("schedule artifact: trailing bytes after payload");
   }
   return schedule;
+}
+
+std::vector<std::uint8_t> encode_bisection(const EncodedBisection& outcome) {
+  ByteWriter writer;
+  writer.f64(outcome.full_gap);
+  writer.f64(outcome.achieved);
+  writer.u64(outcome.rounds);
+  writer.u64(outcome.candidates);
+  writer.u64(outcome.minimal.size());
+  for (const std::size_t index : outcome.minimal) writer.u64(index);
+  writer.u64(outcome.contributions.size());
+  for (const double contribution : outcome.contributions) {
+    writer.f64(contribution);
+  }
+  return seal(Kind::kBisection, std::move(writer).take());
+}
+
+EncodedBisection decode_bisection(std::span<const std::uint8_t> bytes) {
+  ByteReader reader(open(bytes, Kind::kBisection));
+  EncodedBisection outcome;
+  outcome.full_gap = reader.f64();
+  outcome.achieved = reader.f64();
+  outcome.rounds = reader.u64();
+  outcome.candidates = reader.u64();
+  const std::uint64_t size = reader.count();
+  outcome.minimal.reserve(size);
+  for (std::uint64_t i = 0; i < size; ++i) {
+    const std::uint64_t index = reader.u64();
+    if (!outcome.minimal.empty() && index <= outcome.minimal.back()) {
+      throw ParseError(
+          "bisection artifact: minimal indices not strictly ascending");
+    }
+    outcome.minimal.push_back(static_cast<std::size_t>(index));
+  }
+  if (reader.count() != size) {
+    throw ParseError(
+        "bisection artifact: contribution count differs from the minimal "
+        "set's size");
+  }
+  outcome.contributions.reserve(size);
+  for (std::uint64_t i = 0; i < size; ++i) {
+    outcome.contributions.push_back(reader.f64());
+  }
+  if (!reader.at_end()) {
+    throw ParseError("bisection artifact: trailing bytes after payload");
+  }
+  return outcome;
 }
 
 }  // namespace anacin::store

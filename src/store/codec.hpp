@@ -37,7 +37,8 @@ namespace anacin::store {
 ///       as an unknown kind.
 ///   3 — kTrace events carry the receive completion order (match_order
 ///       i64, after the jittered flag); kSchedule added for recorded
-///       replay schedules.
+///       replay schedules. kBisection added later under the same
+///       version, as kFeatures was under 2.
 inline constexpr std::uint16_t kFormatVersion = 3;
 inline constexpr std::size_t kEnvelopeSize = 24;
 
@@ -53,6 +54,9 @@ enum class Kind : std::uint16_t {
   kFeatures = 6,
   /// A recorded replay schedule (per-rank wildcard matches with pin flags).
   kSchedule = 7,
+  /// The outcome of one bisection: its gap, rounds, candidates, minimal
+  /// racy set and standalone contributions.
+  kBisection = 8,
 };
 
 std::string_view kind_name(Kind kind);
@@ -105,5 +109,25 @@ kernels::SparseHistogram decode_features(std::span<const std::uint8_t> bytes);
 
 std::vector<std::uint8_t> encode_schedule(const sim::ReplaySchedule& schedule);
 sim::ReplaySchedule decode_schedule(std::span<const std::uint8_t> bytes);
+
+/// The numbers of one bisection outcome, everything its ranked report is
+/// built from besides the reference run and its schedule.
+struct EncodedBisection {
+  double full_gap = 0.0;
+  double achieved = 0.0;
+  std::uint64_t rounds = 0;
+  std::uint64_t candidates = 0;
+  /// Flat rank-major schedule indices of the minimal racy set, strictly
+  /// ascending.
+  std::vector<std::size_t> minimal;
+  /// contributions[i]: the distance with only minimal[i] freed.
+  std::vector<double> contributions;
+};
+
+/// The decoder rejects trailing bytes, a contribution count that differs
+/// from the minimal set's size, and indices that are not strictly
+/// ascending; whether an index fits the schedule is the caller's check.
+std::vector<std::uint8_t> encode_bisection(const EncodedBisection& outcome);
+EncodedBisection decode_bisection(std::span<const std::uint8_t> bytes);
 
 }  // namespace anacin::store

@@ -94,6 +94,24 @@ Digest ArtifactStore::replay_run_key(const std::string& pattern,
   return digest_json(doc);
 }
 
+Digest ArtifactStore::bisection_key(const std::string& kernel_spec,
+                                    kernels::LabelPolicy policy,
+                                    const Digest& reference,
+                                    std::uint64_t replay_seed,
+                                    double target_fraction) {
+  json::Value doc = json::Value::object();
+  doc.set("artifact", "bisection");
+  doc.set("codec", static_cast<std::int64_t>(kFormatVersion));
+  doc.set("kernel", kernel_spec);
+  doc.set("label_policy", std::string(kernels::label_policy_name(policy)));
+  doc.set("reference", reference.to_hex());
+  // Decimal, like the seed of a work-unit request: JSON numbers are
+  // doubles and would round seeds above 2^53.
+  doc.set("replay_seed", std::to_string(replay_seed));
+  doc.set("target_fraction", target_fraction);
+  return digest_json(doc);
+}
+
 std::optional<EncodedRun> ArtifactStore::load_run(const Digest& key,
                                                   bool with_graph) {
   const ObjectBytes bytes = objects_.get(key);
@@ -184,6 +202,31 @@ std::optional<sim::ReplaySchedule> ArtifactStore::load_schedule(
 void ArtifactStore::save_schedule(const Digest& key,
                                   const sim::ReplaySchedule& schedule) {
   publish(key, Kind::kSchedule, encode_schedule(schedule), "schedule");
+}
+
+std::optional<EncodedBisection> ArtifactStore::load_bisection(
+    const Digest& key, std::size_t total_matches) {
+  const ObjectBytes bytes = objects_.get(key);
+  if (!bytes) return std::nullopt;
+  try {
+    EncodedBisection outcome = decode_bisection(*bytes);
+    if (!outcome.minimal.empty() && outcome.minimal.back() >= total_matches) {
+      throw ParseError("bisection artifact: minimal index " +
+                       std::to_string(outcome.minimal.back()) +
+                       " outside a schedule of " +
+                       std::to_string(total_matches) + " matches");
+    }
+    return outcome;
+  } catch (const Error&) {
+    corrupt_counter().add(1);
+    objects_.remove(key);
+    return std::nullopt;
+  }
+}
+
+void ArtifactStore::save_bisection(const Digest& key,
+                                   const EncodedBisection& outcome) {
+  publish(key, Kind::kBisection, encode_bisection(outcome), "bisection");
 }
 
 ArtifactStore* active_store() {

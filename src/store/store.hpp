@@ -76,6 +76,17 @@ class ArtifactStore {
                                const Digest& schedule,
                                const std::vector<std::size_t>& freed);
 
+  /// Key of one bisection's outcome: the reference run (which fixes the
+  /// recorded schedule and, with the replay seed, every candidate's
+  /// replay), the kernel and label policy that measure candidates, and the
+  /// target fraction that steers the search. The report's slice window and
+  /// the retry policy are left out: they change no stored number.
+  static Digest bisection_key(const std::string& kernel_spec,
+                              kernels::LabelPolicy policy,
+                              const Digest& reference,
+                              std::uint64_t replay_seed,
+                              double target_fraction);
+
   /// The run named `key`. With `with_graph` false only its counters are
   /// decoded and `graph` stays empty; the whole object is still
   /// checksummed, so a corrupt one takes the corrupt path either way.
@@ -91,6 +102,13 @@ class ArtifactStore {
 
   std::optional<sim::ReplaySchedule> load_schedule(const Digest& key);
   void save_schedule(const Digest& key, const sim::ReplaySchedule& schedule);
+
+  /// The bisection outcome named `key`, over a schedule of
+  /// `total_matches` entries: a minimal index outside the schedule takes
+  /// the corrupt path like any other undecodable object.
+  std::optional<EncodedBisection> load_bisection(const Digest& key,
+                                                 std::size_t total_matches);
+  void save_bisection(const Digest& key, const EncodedBisection& outcome);
 
   /// True once a save hit a disk fault and the store fell back to
   /// --no-store semantics for publishes. Reported under `resilience.

@@ -213,6 +213,30 @@ TEST(Cli, BisectRejectsKeepGoingAndEqualSeeds) {
   EXPECT_NE(same_seed.err.find("replay seed"), std::string::npos);
 }
 
+TEST(Cli, BadFlagValuesAreConfigErrorsWithoutSourceLocations) {
+  // A bad flag value is the user's input, not a broken invariant: exit 1
+  // with one error line, never a "check failed ... at <file>:<line>".
+  const std::vector<std::vector<std::string>> cases = {
+      {"bisect", "--slice-window", "0"},
+      {"bisect", "--slice-window", "-1"},
+      {"bisect", "--keep-going"},
+      {"bisect", "--max-retries", "-1"},
+      {"measure", "--runs", "2", "--max-retries", "-1"},
+      {"measure", "--runs", "2", "--run-deadline-ms", "-5"},
+      {"measure", "--runs", "2", "--unit-mem-limit", "1000"},
+      {"sweep", "--runs", "2", "--fault-drop", "0.5:0.2:0.1"},
+      {"sweep", "--runs", "2", "--fault-drop", "0:0.2:0"},
+      {"sweep", "--runs", "2", "--step", "0"},
+  };
+  for (const std::vector<std::string>& args : cases) {
+    SCOPED_TRACE(args[0] + " " + args[args.size() - 2] + " " + args.back());
+    const CliRun run = invoke(args);
+    EXPECT_EQ(run.exit_code, 1);
+    EXPECT_EQ(run.err.rfind("error: ", 0), 0u) << run.err;
+    EXPECT_EQ(run.err.find("check failed"), std::string::npos) << run.err;
+  }
+}
+
 TEST(Cli, FiguresIndexAndLookup) {
   const CliRun index = invoke({"figures"});
   EXPECT_EQ(index.exit_code, 0);

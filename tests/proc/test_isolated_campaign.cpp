@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "obs/obs.hpp"
 #include "proc/worker_main.hpp"
 #include "proc/worker_pool.hpp"
 #include "replay/bisect.hpp"
@@ -175,11 +176,14 @@ TEST_F(IsolatedCampaignTest, BisectionMatchesInProcessWithOneUnitPerCandidate) {
   const replay::BisectResult isolated =
       replay::bisect(config, pool, &cold_executor);
 
-  // Same bytes, and the same objects left behind: the reference run, its
-  // schedule and features, and one distance per candidate.
+  // Same bytes, and the in-process objects (the reference run, its
+  // schedule and features, the bisection's outcome) plus one distance per
+  // candidate: the unit's result, which carries it back to this process.
   EXPECT_EQ(replay::bisect_to_json(config, isolated).dump(), plain_json);
-  EXPECT_EQ(iso_store.objects().stats().kind_counts, plain_kinds);
-  EXPECT_EQ(plain_kinds.at("distances"), isolated.candidates);
+  std::map<std::string, std::uint64_t> expected_kinds = plain_kinds;
+  EXPECT_EQ(expected_kinds.count("distances"), 0u);
+  expected_kinds["distances"] = isolated.candidates;
+  EXPECT_EQ(iso_store.objects().stats().kind_counts, expected_kinds);
 
   // Each candidate is one `replay` unit, dispatched once.
   const std::vector<std::string> units = cold_executor.units();
@@ -190,12 +194,20 @@ TEST_F(IsolatedCampaignTest, BisectionMatchesInProcessWithOneUnitPerCandidate) {
     EXPECT_EQ(unit.rfind("replay:", 0), 0u) << unit;
   }
 
-  // A warm isolated re-run answers every candidate from the parent's store.
+  // A warm isolated re-run reads the outcome and dispatches nothing.
   RecordingExecutor warm_executor(workers);
   const replay::BisectResult warm =
       replay::bisect(config, pool, &warm_executor);
   EXPECT_EQ(replay::bisect_to_json(config, warm).dump(), plain_json);
   EXPECT_TRUE(warm_executor.units().empty());
+
+  // A warm in-process re-run over the isolated store simulates nothing.
+  obs::Counter& sims = obs::counter("sim.engine.runs");
+  const std::uint64_t sims_before = sims.value();
+  EXPECT_EQ(
+      replay::bisect_to_json(config, replay::bisect(config, pool)).dump(),
+      plain_json);
+  EXPECT_EQ(sims.value(), sims_before);
 }
 
 TEST(ReplayRequest, ResultIsTheDistanceAndInputsAreScheduleAndFeatures) {

@@ -8,6 +8,7 @@
 #include "graph/event_graph.hpp"
 #include "patterns/pattern.hpp"
 #include "sim/simulator.hpp"
+#include "store/hash.hpp"
 #include "support/error.hpp"
 
 namespace anacin::store {
@@ -197,6 +198,94 @@ TEST(CodecFeatures, RejectsUnsortedOrInconsistentPayloads) {
   bad_norm.counts = {3.0, 2.0};
   bad_norm.self_dot = 999.0;  // does not match 3^2 + 2^2
   EXPECT_THROW(decode_features(encode_features(bad_norm)), ParseError);
+}
+
+/// Re-seal a hand-edited blob: the envelope's payload size (offset 8) and
+/// checksum (offset 16) fields, little-endian.
+std::vector<std::uint8_t> reseal(std::vector<std::uint8_t> blob) {
+  const std::uint64_t size = blob.size() - kEnvelopeSize;
+  Fnv1a checksum;
+  checksum.update(blob.data() + kEnvelopeSize, size);
+  for (std::size_t i = 0; i < 8; ++i) {
+    blob[8 + i] = static_cast<std::uint8_t>(size >> (8 * i));
+    blob[16 + i] = static_cast<std::uint8_t>(checksum.value() >> (8 * i));
+  }
+  return blob;
+}
+
+/// decode_bisection(blob) throws a ParseError whose message has `needle`.
+void expect_bisection_rejected(const std::vector<std::uint8_t>& blob,
+                               const std::string& needle) {
+  try {
+    decode_bisection(blob);
+    ADD_FAILURE() << "bisection payload accepted; expected: " << needle;
+  } catch (const ParseError& error) {
+    EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(CodecBisection, RoundTripIsBitExact) {
+  EncodedBisection outcome;
+  outcome.full_gap = 0.1 + 0.2;
+  outcome.achieved = std::numeric_limits<double>::denorm_min();
+  outcome.rounds = 7;
+  outcome.candidates = std::numeric_limits<std::uint64_t>::max();
+  outcome.minimal = {0, 3, 0x9E3779B97F4A7C15ull};
+  outcome.contributions = {-0.0, std::numeric_limits<double>::infinity(),
+                           1.0 / 3.0};
+  const std::vector<std::uint8_t> blob = encode_bisection(outcome);
+  EXPECT_EQ(validate_envelope(blob).kind, Kind::kBisection);
+  EXPECT_EQ(kind_name(Kind::kBisection), "bisection");
+
+  const EncodedBisection decoded = decode_bisection(blob);
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
+  EXPECT_EQ(bits(decoded.full_gap), bits(outcome.full_gap));
+  EXPECT_EQ(bits(decoded.achieved), bits(outcome.achieved));
+  EXPECT_EQ(decoded.rounds, outcome.rounds);
+  EXPECT_EQ(decoded.candidates, outcome.candidates);
+  EXPECT_EQ(decoded.minimal, outcome.minimal);
+  ASSERT_EQ(decoded.contributions.size(), outcome.contributions.size());
+  for (std::size_t i = 0; i < outcome.contributions.size(); ++i) {
+    EXPECT_EQ(bits(decoded.contributions[i]), bits(outcome.contributions[i]));
+  }
+  EXPECT_EQ(encode_bisection(decoded), blob);
+
+  const EncodedBisection empty = decode_bisection(encode_bisection({}));
+  EXPECT_TRUE(empty.minimal.empty());
+  EXPECT_TRUE(empty.contributions.empty());
+  EXPECT_EQ(empty.candidates, 0u);
+}
+
+TEST(CodecBisection, RejectsUnsortedMismatchedOrTrailingPayloads) {
+  // The encoder writes whatever it is handed; the decoder is the gate.
+  EncodedBisection repeated;
+  repeated.minimal = {2, 2};
+  repeated.contributions = {1.0, 1.0};
+  expect_bisection_rejected(encode_bisection(repeated), "strictly ascending");
+  EncodedBisection descending;
+  descending.minimal = {3, 1};
+  descending.contributions = {1.0, 1.0};
+  expect_bisection_rejected(encode_bisection(descending), "strictly ascending");
+
+  EncodedBisection mismatched;
+  mismatched.minimal = {1, 2};
+  mismatched.contributions = {1.0};
+  expect_bisection_rejected(encode_bisection(mismatched), "contribution count");
+
+  EncodedBisection good;
+  good.minimal = {1, 2};
+  good.contributions = {1.0, 0.5};
+  std::vector<std::uint8_t> trailing = encode_bisection(good);
+  trailing.push_back(0);
+  expect_bisection_rejected(reseal(trailing), "trailing bytes");
+  std::vector<std::uint8_t> truncated = encode_bisection(good);
+  truncated.pop_back();
+  expect_bisection_rejected(reseal(truncated), "truncated");
+
+  expect_bisection_rejected(encode_distances({1.0}), "kind");
 }
 
 TEST(CodecDeterminism, EncodingIsStable) {
